@@ -4,8 +4,9 @@ Cone files are JSON documents {"generators": [[...], ...]} whose inner lists
 are generator columns.  Entries are JSON integers up to 2^53 - 1; larger
 values must be written as decimal strings so no precision is lost.
 
-Exit codes: 0 success, 2 parse error, 3 membership error, 4 precondition
-error, 5 internal certificate failure.
+Exit codes: 0 success, 2 parse error, 3 membership error (including a point
+of the wrong length), 4 precondition error, 5 internal certificate failure,
+6 search node budget exhausted.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ module computes multiplicities, enumerates the integer points of the
 half-open generator parallelepiped together with their exact rational
 coefficients, derives Hilbert bases, and answers membership queries.
 
-Per-cone derived data (saturation basis, coordinate matrix, inverses) is
-cached on the frozen cone value, so repeated queries against the same cone
-are cheap.
+Per-cone derived data (saturation basis, coordinate matrix and the integer
+adjugates that replace its inverses) is cached on the frozen cone value, so
+repeated queries against the same cone are cheap.  Every per-point query
+works on the scaled coefficients mult * lambda, which are integers for any
+integer point of lin R; a `Fraction` is built only where the API returns one.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import gcd
 from typing import Sequence
 
 from . import exact
 from .errors import MembershipError, PreconditionError
-from .exact import Fraction as _F  # noqa: F401  (re-export convenience)
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,15 @@ class SimplicialCone:
         if not self.generators:
             raise PreconditionError("cone needs at least one generator")
         n = len(self.generators[0])
+        if n == 0:
+            raise PreconditionError("generators must have at least one entry")
         if any(len(g) != n for g in self.generators):
             raise PreconditionError("generator dimensions disagree")
         object.__setattr__(
             self, "generators", tuple(tuple(int(x) for x in g) for g in self.generators)
         )
-        gram = exact.matmul(exact.transpose(self.matrix), self.matrix)
-        if exact.rat_det(gram) == 0:
+        gram = exact.matmul(self.generators, exact.transpose(self.generators))
+        if exact.det(gram) == 0:
             raise PreconditionError("generators are linearly dependent")
 
     @property
@@ -69,11 +72,12 @@ class ParPoint:
 
     vector: tuple
     lam: tuple  # Fractions in [0, 1), one per generator
+    scaled: tuple  # the integers mult * lam, each in [0, mult)
 
 
 @dataclass(frozen=True)
 class ParallelepipedSet:
-    points: tuple  # ParPoint, sorted lexicographically by lam
+    points: tuple  # ParPoint, sorted lexicographically by lam (= by scaled)
 
     def __len__(self):
         return len(self.points)
@@ -89,6 +93,7 @@ class ParallelepipedSet:
 class HilbertBasis:
     elements: tuple  # integer vectors
     lams: tuple  # matching coefficient vectors (Fractions)
+    columns: tuple  # matching scaled coefficient vectors mult * lam (ints)
 
     def __len__(self):
         return len(self.elements)
@@ -101,11 +106,11 @@ class _ConeContext:
     sat: exact.LatticeBasis  # basis W of lin R intersected with Z^n
     coord: exact.Matrix  # C with W C = R, k x k integer
     det_coord: int
-    mult: int
-    coord_inv: exact.Matrix  # rational C^{-1}
-    coord_adj: exact.Matrix  # integer, equals mult * C^{-1}
+    mult: int  # |det C|
+    coord_adj: exact.Matrix  # integer mult * C^{-1}; not the signed adjugate
     row_idx: tuple  # rows making W invertible
-    w_rows_inv: exact.Matrix  # rational inverse of the selected row block
+    w_rows_adj: exact.Matrix  # integer w_rows_det * B^{-1}, B the row block
+    w_rows_det: int  # |det B|
 
 
 def _independent_rows(m: exact.Matrix, k: int) -> tuple:
@@ -113,8 +118,7 @@ def _independent_rows(m: exact.Matrix, k: int) -> tuple:
     idx = []
     for i, row in enumerate(m):
         cand = rows + [row]
-        gram = exact.matmul(exact.freeze(cand), exact.transpose(exact.freeze(cand)))
-        if exact.rat_det(gram) != 0:
+        if exact.det(exact.matmul(cand, exact.transpose(cand))) != 0:
             rows.append(row)
             idx.append(i)
             if len(rows) == k:
@@ -122,31 +126,48 @@ def _independent_rows(m: exact.Matrix, k: int) -> tuple:
     raise PreconditionError("matrix does not have full column rank")
 
 
+def _scaled_inverse(a: exact.Matrix):
+    """(det a, |det a| * a^{-1}) as integers."""
+    d, adj = exact.adjugate(a)
+    if d < 0:
+        adj = exact.freeze(tuple(-x for x in row) for row in adj)
+    return d, adj
+
+
+def _solve_rows(w, row_idx, w_rows_adj, w_rows_det, z) -> tuple:
+    """The integer x with W x = z, read off the row block; raises if none."""
+    x = []
+    for v in exact.matvec(w_rows_adj, tuple(z[i] for i in row_idx)):
+        q, rem = divmod(v, w_rows_det)
+        if rem:
+            raise MembershipError("vector lies outside the linear span of the cone")
+        x.append(q)
+    x = tuple(x)
+    if exact.matvec(w, x) != z:
+        raise MembershipError("vector lies outside the linear span of the cone")
+    return x
+
+
 @lru_cache(maxsize=None)
 def _context(cone: SimplicialCone) -> _ConeContext:
-    r = cone.matrix
-    k = cone.dim
-    w = exact.sublattice_basis(r)
-    coord_cols = [exact.as_int_vector(exact.solve(w.matrix, g)) for g in cone.generators]
-    coord = exact.from_columns(coord_cols)
-    det_coord = exact.det(coord)
-    mult = abs(det_coord)
-    coord_inv = exact.rat_inverse(coord)
-    coord_adj = exact.freeze(
-        exact.as_int_vector(tuple(x * mult for x in row)) for row in coord_inv
+    w = exact.sublattice_basis(cone.matrix)
+    row_idx = _independent_rows(w.matrix, cone.dim)
+    d, w_rows_adj = _scaled_inverse(tuple(w.matrix[i] for i in row_idx))
+    w_rows_det = abs(d)
+    coord = exact.from_columns(
+        _solve_rows(w.matrix, row_idx, w_rows_adj, w_rows_det, g)
+        for g in cone.generators
     )
-    row_idx = _independent_rows(w.matrix, k)
-    block = exact.freeze(w.matrix[i] for i in row_idx)
-    w_rows_inv = exact.rat_inverse(block)
+    det_coord, coord_adj = _scaled_inverse(coord)
     return _ConeContext(
         sat=w,
         coord=coord,
         det_coord=det_coord,
-        mult=mult,
-        coord_inv=coord_inv,
+        mult=abs(det_coord),
         coord_adj=coord_adj,
         row_idx=row_idx,
-        w_rows_inv=w_rows_inv,
+        w_rows_adj=w_rows_adj,
+        w_rows_det=w_rows_det,
     )
 
 
@@ -161,46 +182,53 @@ def multiplicity(cone: SimplicialCone) -> int:
 
 
 def lattice_coords(cone: SimplicialCone, z: Sequence) -> tuple:
-    """Coordinates of z in the saturation basis; raises if z is outside lin R."""
-    ctx = _context(cone)
+    """Integer coordinates of z in the saturation basis.
+
+    Raises MembershipError when z has the wrong length or lies outside
+    lin R cap Z^n.  Every per-point query of the module starts here.
+    """
     zv = tuple(z)
-    cz = exact.matvec(ctx.w_rows_inv, tuple(zv[i] for i in ctx.row_idx))
-    if exact.matvec(ctx.sat.matrix, cz) != tuple(Fraction(x) for x in zv):
-        raise MembershipError("vector lies outside the linear span of the cone")
-    return cz
-
-
-def coefficients(cone: SimplicialCone, z: Sequence) -> tuple:
-    """The unique lambda with R lambda = z, exact rationals."""
+    if len(zv) != cone.ambient_dim:
+        raise MembershipError(
+            f"point has {len(zv)} coordinates, the cone lives in dimension "
+            f"{cone.ambient_dim}"
+        )
+    if cone.dim == len(zv):
+        return zv  # full-dimensional: the saturation basis is the identity
     ctx = _context(cone)
-    cz = lattice_coords(cone, z)
-    return exact.matvec(ctx.coord_inv, cz)
+    return _solve_rows(ctx.sat.matrix, ctx.row_idx, ctx.w_rows_adj, ctx.w_rows_det, zv)
 
 
 def scaled_coefficients(cone: SimplicialCone, z: Sequence) -> tuple:
     """Integer vector mult * lambda(z) for an integer z in lin R cap Z^n.
 
-    Faster than `coefficients` in search loops: all arithmetic stays in ints.
+    With s = mult * lambda: lambda >= 0 iff s >= 0, lambda_i is integral iff
+    s_i % mult == 0, floor(lambda_i) = s_i // mult, and lambda_i == 1 iff
+    s_i == mult.
     """
-    ctx = _context(cone)
-    cz = exact.as_int_vector(lattice_coords(cone, z))
-    return exact.matvec(ctx.coord_adj, cz)
+    return exact.matvec(_context(cone).coord_adj, lattice_coords(cone, z))
+
+
+def coefficients(cone: SimplicialCone, z: Sequence) -> tuple:
+    """The unique lambda with R lambda = z, exact rationals."""
+    mult = _context(cone).mult
+    return tuple(Fraction(s, mult) for s in scaled_coefficients(cone, z))
 
 
 def contains(cone: SimplicialCone, z: Sequence) -> bool:
     try:
-        lam = coefficients(cone, z)
+        s = scaled_coefficients(cone, z)
     except MembershipError:
         return False
-    return all(x >= 0 for x in lam)
+    return all(x >= 0 for x in s)
 
 
 def contains_interior(cone: SimplicialCone, z: Sequence) -> bool:
     try:
-        lam = coefficients(cone, z)
+        s = scaled_coefficients(cone, z)
     except MembershipError:
         return False
-    return all(x > 0 for x in lam)
+    return all(x > 0 for x in s)
 
 
 @lru_cache(maxsize=None)
@@ -211,6 +239,7 @@ def enumerate_parallelepiped(cone: SimplicialCone) -> ParallelepipedSet:
     normal form of the coordinate matrix and reduced coefficient-wise mod 1.
     """
     ctx = _context(cone)
+    mult = ctx.mult
     res = exact.snf(ctx.coord)
     k = cone.dim
     divisors = [res.s[i][i] for i in range(k)]
@@ -218,21 +247,19 @@ def enumerate_parallelepiped(cone: SimplicialCone) -> ParallelepipedSet:
     points = []
     for y in itertools.product(*(range(d) for d in divisors)):
         x = exact.matvec(u_inv, y)
-        lam = exact.matvec(ctx.coord_inv, x)
-        floors = tuple(floor(v) for v in lam)
-        lam_frac = tuple(v - f for v, f in zip(lam, floors))
+        s = exact.matvec(ctx.coord_adj, x)
+        floors = tuple(v // mult for v in s)
+        frac = tuple(v % mult for v in s)
         mu = exact.vsub(x, exact.matvec(ctx.coord, floors))
-        vec = exact.as_int_vector(exact.matvec(ctx.sat.matrix, mu))
-        points.append(ParPoint(vec, lam_frac))
-    points.sort(key=lambda p: p.lam)
-    assert len(points) == ctx.mult
+        vec = exact.matvec(ctx.sat.matrix, mu)
+        points.append(ParPoint(vec, tuple(Fraction(v, mult) for v in frac), frac))
+    points.sort(key=lambda p: p.scaled)
+    assert len(points) == mult
     return ParallelepipedSet(tuple(points))
 
 
 def primitive(v: Sequence) -> tuple:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     return tuple(x // g for x in v)
 
 
@@ -246,30 +273,30 @@ def hilbert_basis(cone: SimplicialCone) -> HilbertBasis:
     monotonicity is a complete irreducibility test.
     """
     par = enumerate_parallelepiped(cone)
+    mult = _context(cone).mult
     candidates = {}
     for p in par.nonzero():
-        candidates[p.vector] = p.lam
+        candidates[p.vector] = p.scaled
     for i, g in enumerate(cone.generators):
-        d = 0
-        for x in g:
-            d = gcd(d, x)
-        prim = tuple(x // d for x in g)
-        lam = tuple(
-            Fraction(1, d) if j == i else Fraction(0) for j in range(cone.dim)
-        )
-        candidates.setdefault(prim, lam)
+        # prim = g / d has lambda = e_i / d; mult * lambda is integral because
+        # prim is a lattice point of lin R, so d divides mult.
+        d = gcd(*g)
+        scaled = tuple(mult // d if j == i else 0 for j in range(cone.dim))
+        candidates.setdefault(primitive(g), scaled)
     kept = []
     items = sorted(candidates.items(), key=lambda kv: kv[1])
-    for vec, lam in items:
+    for vec, s in items:
         reducible = False
-        for other_vec, other_lam in items:
+        for other_vec, other_s in items:
             if other_vec == vec:
                 continue
-            if all(a <= b for a, b in zip(other_lam, lam)):
+            if all(a <= b for a, b in zip(other_s, s)):
                 reducible = True
                 break
         if not reducible:
-            kept.append((vec, lam))
+            kept.append((vec, s))
     return HilbertBasis(
-        elements=tuple(v for v, _ in kept), lams=tuple(l for _, l in kept)
+        elements=tuple(v for v, _ in kept),
+        lams=tuple(tuple(Fraction(x, mult) for x in s) for _, s in kept),
+        columns=tuple(s for _, s in kept),
     )

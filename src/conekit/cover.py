@@ -289,11 +289,13 @@ def decompose_in_cover(cone: SimplicialCone, z):
     cover = build_cover_det5(cone)
     for idx, sub in enumerate(cover.subcones):
         try:
-            lam = cones.coefficients(sub.cone, z)
+            coeffs = cones.scaled_coefficients(sub.cone, z)
         except MembershipError:
             continue
-        if all(x >= 0 for x in lam):
-            coeffs = exact.as_int_vector(lam)
+        if all(x >= 0 for x in coeffs):
+            # Unimodular subcone: the scaled coefficients are the coefficients.
+            if cones.multiplicity(sub.cone) != 1:
+                raise CertificateError("covering subcone is not unimodular")
             terms = tuple(
                 (c, g) for c, g in zip(coeffs, sub.cone.generators) if c != 0
             )

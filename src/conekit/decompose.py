@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor
 
 from . import cones, cosets, cover, exact, search
 from .cones import SimplicialCone
@@ -173,27 +172,28 @@ def icr_upper_bound(cone: SimplicialCone) -> IcrBound:
 
 
 def _reduce(cone, z, steps, node_budget):
-    lam = cones.coefficients(cone, z)
-    if any(x < 0 for x in lam):
+    # s = mult * lambda: integers with the signs and order of lambda.
+    s = cones.scaled_coefficients(cone, z)
+    if any(x < 0 for x in s):
         raise MembershipError("vector lies outside the cone")
-    if not any(lam):
+    if not any(s):
         return []
     k = cone.dim
     if k <= 3:
         steps.append(BaseStep(dim=k, method="search"))
         return _search_terms(cone, z, k, node_budget)
-    if cones.multiplicity(cone) == 1:
+    mult = cones.multiplicity(cone)
+    if mult == 1:
         steps.append(BaseStep(dim=k, method="unimodular"))
-        coeffs = exact.as_int_vector(lam)
-        return [(c, g) for c, g in zip(coeffs, cone.generators) if c != 0]
+        return [(c, g) for c, g in zip(s, cone.generators) if c != 0]
     profile = cosets.coset_profile(cone)
     for i, integral in enumerate(profile.integral_flags):
         if integral:
-            return _strip_reduce(cone, z, lam, i, steps, node_budget)
-    pair = _select_pair(profile, lam)
+            return _strip_reduce(cone, z, s[i], mult, i, steps, node_budget)
+    pair = _select_pair(profile, s)
     if pair is not None:
         return _project_reduce(cone, z, pair, steps, node_budget)
-    if k == 4 and cones.multiplicity(cone) == 5:
+    if k == 4 and mult == 5:
         terms, idx = cover.decompose_in_cover(cone, z)
         steps.append(CoverStep(subcone_index=idx))
         return list(terms)
@@ -201,11 +201,12 @@ def _reduce(cone, z, steps, node_budget):
     return _search_terms(cone, z, 2 * k - 2, node_budget)
 
 
-def _strip_reduce(cone, z, lam, i, steps, node_budget):
-    # lambda_i is the pairing with an integral dual vector, hence an integer.
-    if not exact.is_integral(lam[i]):
+def _strip_reduce(cone, z, s_i, mult, i, steps, node_budget):
+    # lambda_i = s_i / mult is the pairing with an integral dual vector, hence
+    # an integer.
+    mu, rem = divmod(s_i, mult)
+    if rem:
         raise CertificateError("integral dual gave a fractional coefficient")
-    mu = int(lam[i])
     steps.append(StripStep(index=i, coeff=mu))
     rest = exact.vsub(z, exact.vscale(mu, cone.generators[i]))
     terms = _reduce(cone.facet(i), rest, steps, node_budget)
@@ -214,11 +215,14 @@ def _strip_reduce(cone, z, lam, i, steps, node_budget):
     return terms
 
 
-def _select_pair(profile, lam):
-    """Lexicographically smallest pair (i, j), oriented so lambda_i >= lambda_j."""
+def _select_pair(profile, s):
+    """Lexicographically smallest pair (i, j), oriented so lambda_i >= lambda_j.
+
+    `s` holds the scaled coefficients mult * lambda, which order alike.
+    """
     oriented = []
     for a, b in profile.equal_pairs:
-        oriented.append((a, b) if lam[a] >= lam[b] else (b, a))
+        oriented.append((a, b) if s[a] >= s[b] else (b, a))
     return min(oriented) if oriented else None
 
 
@@ -282,27 +286,27 @@ def _lift(cone, data, axis, v):
     the projection axis lands in [0, 1), which is a parallelepiped point of
     the original cone.
     """
-    lam = cones.coefficients(data.subcone, v)
-    unit = _unit_index(lam)
+    s = cones.scaled_coefficients(data.subcone, v)
+    sub_mult = cones.multiplicity(data.subcone)
+    unit = _unit_index(s, sub_mult)
     if unit is not None:
         return cone.generators[data.kept[unit]]
-    if not all(0 <= x < 1 for x in lam):
+    if not all(0 <= x < sub_mult for x in s):
         raise CertificateError(
             "projected term is neither a generator nor a parallelepiped point"
         )
     x = exact.matvec(data.preimages, v)
-    lam_x = cones.coefficients(cone, x)
-    shift = floor(lam_x[axis])
-    y = exact.vsub(x, exact.vscale(shift, cone.generators[axis]))
-    return exact.as_int_vector(y)
+    shift = cones.scaled_coefficients(cone, x)[axis] // cones.multiplicity(cone)
+    return exact.vsub(x, exact.vscale(shift, cone.generators[axis]))
 
 
-def _unit_index(lam):
+def _unit_index(s, mult):
+    """Index i with s = mult * e_i (a generator's scaled coefficients), else None."""
     unit = None
-    for idx, x in enumerate(lam):
+    for idx, x in enumerate(s):
         if x == 0:
             continue
-        if x == 1 and unit is None:
+        if x == mult and unit is None:
             unit = idx
         else:
             return None
@@ -330,12 +334,8 @@ def _axis_multiple(primitive, residual):
 
 def _search_terms(cone, z, max_terms, node_budget):
     hb = cones.hilbert_basis(cone)
-    mult = cones.multiplicity(cone)
-    columns = tuple(
-        tuple(int(mult * x) for x in lam) for lam in hb.lams
-    )
     target = cones.scaled_coefficients(cone, z)
-    found, _ = search.find_combination(columns, target, max_terms, node_budget)
+    found, _ = search.find_combination(hb.columns, target, max_terms, node_budget)
     if found is None:
         raise CertificateError(
             f"no combination of at most {max_terms} Hilbert basis elements exists"

@@ -40,8 +40,12 @@ class CertificateError(ConekitError):
 class UnresolvedError(ConekitError):
     """A bounded search exhausted its budget without a definite answer.
 
-    Raised instead of guessing; carries the budget that was exceeded.
+    Raised instead of guessing; carries the budget that was exceeded.  CLI
+    exit code 6, so a budget that is too small is never mistaken for an
+    internal certificate failure.
     """
+
+    exit_code = 6
 
     def __init__(self, message, nodes=None):
         super().__init__(message)

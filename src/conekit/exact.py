@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import MembershipError, PreconditionError
@@ -41,17 +42,15 @@ def transpose(a: Matrix) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def matvec(a: Matrix, v: Sequence) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence, v: Sequence) -> Vector:
@@ -111,6 +110,39 @@ def det(a: Matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n > 0 else 1
+
+
+def adjugate(a: Matrix):
+    """Determinant and adjugate of a square integer matrix, fraction-free.
+
+    Bareiss-style Gauss-Jordan elimination on [a | I]: after step k every
+    entry is a minor of the augmented matrix, so each division is exact.
+    Returns (det a, adj a) with adj a = det a * a^{-1}, all ints.  Raises
+    PreconditionError when a is singular.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise PreconditionError("adjugate: matrix is not square")
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            raise PreconditionError("adjugate: matrix is singular")
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pk = m[k][k]
+        row_k = m[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], row_k)]
+        prev = pk
+    # The right block is prev * a^{-1}, and prev = sign * det a.
+    return sign * prev, freeze([sign * x for x in row[n:]] for row in m)
 
 
 def rat_det(a: Matrix) -> Fraction:
@@ -351,8 +383,10 @@ def hnf(a: Matrix):
 
 def int_inverse(a: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix, returned with int entries."""
-    inv = rat_inverse(a)
-    return freeze(as_int_vector(row) for row in inv)
+    d, adj = adjugate(a)
+    if d not in (1, -1):
+        raise MembershipError(f"int_inverse: determinant {d} is not a unit")
+    return freeze(tuple(d * x for x in row) for row in adj)
 
 
 # ---------------------------------------------------------------------------

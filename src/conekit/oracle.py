@@ -40,16 +40,14 @@ def min_terms(cone: SimplicialCone, z, max_terms=None, node_budget=None):
     the first hit of the deepening loop is the true minimum.
     """
     target = tuple(int(x) for x in z)
-    if not cones.contains(cone, target):
+    scaled = cones.scaled_coefficients(cone, target)
+    if any(x < 0 for x in scaled):
         raise MembershipError("oracle target lies outside the cone")
     hb = cones.hilbert_basis(cone)
-    mult = cones.multiplicity(cone)
-    columns = tuple(tuple(int(mult * x) for x in lam) for lam in hb.lams)
-    scaled = cones.scaled_coefficients(cone, target)
     bound = max_terms if max_terms is not None else len(hb)
     try:
         found, nodes = search.find_combination(
-            columns, scaled, bound, node_budget
+            hb.columns, scaled, bound, node_budget
         )
     except UnresolvedError as err:
         return OracleReport(

@@ -6,11 +6,16 @@ configurations with criterion 10, which reruns them from scratch and compares
 the CSV output byte for byte.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
+from pathlib import Path
 
 from conekit import cones, cosets, exact, experiments, gen, oracle, special
 from conekit.cones import SimplicialCone
@@ -310,3 +315,36 @@ def test_criterion_10_determinism():
     again_c6 = experiments.rows_to_csv(rerun)
     assert first_c6 == again_c6
     _report(10, "criteria 4 and 6 reruns produced byte-identical CSV")
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_COLD_SWEEP = """
+import hashlib, json, sys
+from conekit import experiments
+cfg = experiments.ExperimentConfig(**json.loads(sys.argv[1]))
+csv_text = experiments.rows_to_csv(experiments.run_experiment(cfg))
+print(hashlib.sha256(csv_text.encode()).hexdigest())
+"""
+
+
+def test_criterion_10_cold_process_determinism():
+    # Criterion 10 reruns with warm caches; this reruns the pinned benchmark
+    # sweep in fresh interpreters under different hash seeds, so every cache
+    # is rebuilt and no iteration order can depend on string hashing.
+    pinned = json.loads((_ROOT / "perfbench" / "workloads.json").read_text())
+    pinned = pinned["sweep"]["pinned"]
+    src = str(_ROOT / "src")
+    digests = []
+    for hash_seed in ("0", "4242"):
+        env = {k: v for k, v in os.environ.items() if k != "CONEKIT_TIMING"}
+        env["PYTHONHASHSEED"] = hash_seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _COLD_SWEEP, json.dumps(pinned["config"])],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert digests == [pinned["sha256"]] * 2
+    _report(10, "pinned sweep CSV identical in cold processes, PYTHONHASHSEED 0/4242")

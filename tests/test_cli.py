@@ -98,6 +98,28 @@ def test_bad_point_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+CONE_2_3_7 = {"generators": [[1, 0, 0], [0, 1, 0], [2, 3, 7]]}
+
+
+def test_budget_exhaustion_exit_code(tmp_path, capsys):
+    path = _write(tmp_path, CONE_2_3_7)
+    args = ["--node-budget", "1", "decompose", path, "--point", "5,9,14"]
+    assert cli.main(args) == 6
+    assert "budget" in capsys.readouterr().err
+    assert cli.main(args[2:]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("point", ["5,9", "5,9,14,0"])
+def test_decompose_wrong_length_point_exit_code(tmp_path, capsys, point):
+    path = _write(tmp_path, CONE_2_3_7)
+    assert cli.main(["decompose", path, "--point", point]) == 3
+    err = capsys.readouterr().err
+    length = len(point.split(","))
+    assert f"point has {length} coordinates" in err
+    assert "dimension 3" in err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert cli.main(["analyze", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()

@@ -1,11 +1,13 @@
 """Cone invariants: multiplicity, parallelepiped points, Hilbert bases."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conekit import cones, exact, gen, oracle
 from conekit.cones import SimplicialCone
+from conekit.decompose import _projection_data
 from conekit.errors import MembershipError, PreconditionError
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
@@ -15,6 +17,13 @@ CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 
 def test_cone_rejects_dependent_generators():
     with pytest.raises(PreconditionError):
         SimplicialCone(((1, 1), (2, 2)))
+
+
+def test_cone_rejects_empty_generators():
+    with pytest.raises(PreconditionError):
+        SimplicialCone(((),))
+    with pytest.raises(PreconditionError):
+        SimplicialCone(((), ()))
 
 
 def test_multiplicity_examples():
@@ -136,3 +145,67 @@ def test_primitive():
     assert cones.primitive((2, 4, 6)) == (1, 2, 3)
     assert cones.primitive((0, 5)) == (0, 1)
     assert cones.primitive((-3, 6)) == (-1, 2)
+
+
+def _guard_cones():
+    """Random cones with their facets and projected subcones."""
+    for dim in range(2, 8):
+        for det in (1, 2, 3, 4, 6):
+            cone = gen.random_cone(dim, det, gen.seeded_rng(41, dim, det, 0))
+            yield cone
+            for i in range(dim):
+                yield cone.facet(i)
+            for axis in range(dim):
+                yield _projection_data(cone, axis).subcone
+
+
+def _guard_points(cone, rng):
+    """Generators, parallelepiped points and random integer combinations."""
+    points = list(cone.generators)
+    par = cones.enumerate_parallelepiped(cone).vectors()
+    points.extend(par)
+    for lo in (0, 0, -2):
+        z = rng.choice(par)
+        for g in cone.generators:
+            z = exact.vadd(z, exact.vscale(rng.randint(lo, 3), g))
+        points.append(z)
+    return points
+
+
+def test_scaled_coefficients_sign_and_shape_guard():
+    # The integer layer scales by mult = |det C|, not by the signed det C,
+    # and reads coordinates off a row block when the cone is not
+    # full-dimensional; both cases must occur here and agree with a plain
+    # rational solve.
+    rng = random.Random(17)
+    negative = lower_dim = 0
+    for cone in _guard_cones():
+        ctx = cones._context(cone)
+        negative += ctx.det_coord < 0
+        lower_dim += cone.dim < cone.ambient_dim
+        mult = cones.multiplicity(cone)
+        assert mult == abs(ctx.det_coord)
+        for z in _guard_points(cone, rng):
+            lam = exact.solve(cone.matrix, z)
+            assert cones.scaled_coefficients(cone, z) == tuple(mult * x for x in lam)
+            assert cones.coefficients(cone, z) == lam
+            assert cones.contains(cone, z) == all(x >= 0 for x in lam)
+            assert cones.contains_interior(cone, z) == all(x > 0 for x in lam)
+        for j in range(cone.ambient_dim):
+            e = tuple(int(i == j) for i in range(cone.ambient_dim))
+            try:
+                exact.solve(cone.matrix, e)
+            except MembershipError:
+                with pytest.raises(MembershipError):
+                    cones.scaled_coefficients(cone, e)
+                assert not cones.contains(cone, e)
+    assert negative > 0
+    assert lower_dim > 0
+
+
+def test_lattice_coords_rejects_wrong_length():
+    cone = SimplicialCone(((1, 0, 0), (0, 1, 0), (2, 3, 7)))
+    for z in ((5, 9), (5, 9, 14, 0)):
+        with pytest.raises(MembershipError, match=f"{len(z)} coordinates.*3"):
+            cones.lattice_coords(cone, z)
+        assert not cones.contains(cone, z)

@@ -1,8 +1,10 @@
 """Decomposition engine: routing, traces, bounds, Hilbert reduction."""
 
+import sys
+
 import pytest
 
-from conekit import cones, gen, oracle
+from conekit import cones, experiments, gen, oracle
 from conekit.cones import SimplicialCone
 from conekit.decompose import (
     BaseStep,
@@ -165,3 +167,32 @@ def test_decomposition_valid_on_random_sample():
                 assert all(v in hb for _, v in dec.terms)
                 assert dec.vector_sum() == tuple(z)
                 assert dec.term_count() <= dim
+
+
+def test_per_point_path_builds_no_fraction():
+    # Membership, coordinates and certificate checks stay in int arithmetic,
+    # cache misses on fresh cones, facets and projected subcones included.
+    watched = {"lattice_coords", "scaled_coefficients", "contains",
+               "contains_interior", "_validate"}
+    offenders = set()
+
+    def hook(frame, event, arg):
+        if event != "call" or not frame.f_code.co_filename.endswith("fractions.py"):
+            return
+        f = frame.f_back
+        while f is not None:
+            if f.f_code.co_name in watched and "conekit" in f.f_code.co_filename:
+                offenders.add(f.f_code.co_name)
+                return
+            f = f.f_back
+
+    config = experiments.ExperimentConfig(
+        dim_lo=4, dim_hi=5, det_lo=2, det_hi=4, count=1, dilation=2, seed=31
+    )
+    sys.setprofile(hook)
+    try:
+        rows = experiments.run_experiment(config)
+    finally:
+        sys.setprofile(None)
+    assert len(rows) == 6
+    assert offenders == set()

@@ -39,6 +39,21 @@ def test_det_matches_rational_elimination(m):
     assert exact.det(m) == exact.rat_det(m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_adjugate_matches_rational_inverse(m):
+    d = exact.det(m)
+    if d == 0:
+        with pytest.raises(PreconditionError):
+            exact.adjugate(m)
+        return
+    det, adj = exact.adjugate(m)
+    assert det == d
+    assert adj == exact.freeze(
+        tuple(d * x for x in row) for row in exact.rat_inverse(m)
+    )
+
+
 def test_snf_examples():
     res = exact.snf(exact.identity(3))
     assert res.s == exact.identity(3)
