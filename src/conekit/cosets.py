@@ -1,10 +1,12 @@
 """Dual-lattice coset structure of cone generators.
 
 For each generator, the dual vector is classified by its coset modulo the
-dual of the saturated lattice lin R cap Z^n.  Generators in the trivial coset
-have an integral dual; generators in a common non-trivial coset form equal
-pairs.  These two situations are precisely what the decomposition recursion
-branches on.
+dual of the saturated lattice lin R cap Z^n.  In the saturation basis W the
+dual of generator i pairs with W to row i of C^{-1} (R = W C), so its coset
+label is row i of the integer matrix mult * C^{-1} reduced mod mult, read off
+the cone context.  Generators in the trivial coset have an integral dual;
+generators in a common non-trivial coset form equal pairs.  These two
+situations are precisely what the decomposition recursion branches on.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
 
 from . import cones, exact
 from .cones import SimplicialCone
@@ -20,7 +21,6 @@ from .cones import SimplicialCone
 
 @dataclass(frozen=True)
 class CosetProfile:
-    duals: exact.Matrix  # n x k rational, columns are the dual vectors
     integral_flags: tuple  # per generator: dual lies in (lin R cap Z^n)^*
     equal_pairs: tuple  # (i, j) with i < j and dual difference integral
     nontrivial_class_count: int
@@ -29,48 +29,30 @@ class CosetProfile:
     class_reps: tuple  # canonical coset label per generator (coords mod 1)
 
 
-def _mod1(v) -> tuple:
-    return tuple(x - floor(x) for x in v)
-
-
 @lru_cache(maxsize=None)
 def coset_profile(cone: SimplicialCone) -> CosetProfile:
     """Integrality flags, equal-coset pairs, and quotient group structure."""
-    duals = exact.dual_basis(cone.matrix)
-    sat = cones.saturation_basis(cone)
-    # Coordinates of a dual vector in the dual basis of the saturated lattice
-    # are its pairings with the saturation basis vectors; reducing mod 1 gives
-    # a canonical, hashable coset label.
-    wt = exact.transpose(sat.matrix)
-    reps = []
-    for dual in exact.columns(duals):
-        coords = exact.matvec(wt, dual)
-        reps.append(_mod1(coords))
+    ctx = cones._context(cone)
+    mult = ctx.mult
+    labels = [tuple(x % mult for x in row) for row in ctx.coord_adj]
     k = cone.dim
-    zero = tuple(Fraction(0) for _ in range(k))
-    integral_flags = tuple(rep == zero for rep in reps)
+    integral_flags = tuple(not any(label) for label in labels)
     equal_pairs = tuple(
-        (i, j) for i in range(k) for j in range(i + 1, k) if reps[i] == reps[j]
+        (i, j) for i in range(k) for j in range(i + 1, k) if labels[i] == labels[j]
     )
-    nontrivial = len({rep for rep in reps if rep != zero})
-    res = exact.snf(_coord_matrix(cone))
-    divisors = res.divisors
+    nontrivial = len({label for label in labels if any(label)})
+    divisors = exact.snf(ctx.coord).divisors
     cyclic = sum(1 for d in divisors if d > 1) <= 1
     return CosetProfile(
-        duals=duals,
         integral_flags=integral_flags,
         equal_pairs=equal_pairs,
         nontrivial_class_count=nontrivial,
         elementary_divisors=divisors,
         cyclic=cyclic,
-        class_reps=tuple(reps),
+        class_reps=tuple(
+            tuple(Fraction(x, mult) for x in label) for label in labels
+        ),
     )
-
-
-def _coord_matrix(cone: SimplicialCone) -> exact.Matrix:
-    sat = cones.saturation_basis(cone)
-    cols = [exact.as_int_vector(exact.solve(sat.matrix, g)) for g in cone.generators]
-    return exact.from_columns(cols)
 
 
 def check_lemma_coeff_equivalence(cone: SimplicialCone) -> bool:

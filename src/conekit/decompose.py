@@ -229,8 +229,7 @@ def _select_pair(profile, s):
 @dataclass(frozen=True)
 class _ProjectionData:
     subcone: SimplicialCone  # projected cone in projected-lattice coordinates
-    projection: exact.LatticeProjection
-    transform: exact.Reintegerization  # projected lattice <-> Z^(k-1)
+    coords: exact.Matrix  # lattice coordinates -> projected coordinates
     preimages: exact.Matrix  # lattice preimages of the coordinate basis
     primitive: tuple  # primitive lattice vector along the projection axis
     kept: tuple  # kept[m] = original generator index of subcone generator m
@@ -238,18 +237,18 @@ class _ProjectionData:
 
 @lru_cache(maxsize=None)
 def _projection_data(cone: SimplicialCone, axis: int) -> _ProjectionData:
-    sat = cones.saturation_basis(cone)
-    lp = exact.project_lattice_full(sat, cone.generators[axis])
+    gens = cone.generators
+    lp = exact.project_lattice(
+        cones.saturation_basis(cone),
+        cones.primitive(cones.lattice_coords(cone, gens[axis])),
+    )
     kept = tuple(l for l in range(cone.dim) if l != axis)
-    transform = exact.Reintegerization(exact.freeze(lp.basis.matrix))
-    gen_cols = []
-    for l in kept:
-        projected = lp.project(cone.generators[l])
-        gen_cols.append(transform.to_coords(projected))
     return _ProjectionData(
-        subcone=SimplicialCone(tuple(gen_cols)),
-        projection=lp,
-        transform=transform,
+        subcone=SimplicialCone(tuple(
+            exact.matvec(lp.coords, cones.lattice_coords(cone, gens[l]))
+            for l in kept
+        )),
+        coords=lp.coords,
         preimages=lp.preimages,
         primitive=lp.primitive,
         kept=kept,
@@ -261,7 +260,7 @@ def _project_reduce(cone, z, pair, steps, node_budget):
     pos = len(steps)
     steps.append(None)  # ProjectStep filled in once sigma is known
     data = _projection_data(cone, i)
-    z_proj = data.transform.to_coords(data.projection.project(z))
+    z_proj = exact.matvec(data.coords, cones.lattice_coords(cone, z))
     sub = _reduce(data.subcone, z_proj, steps, node_budget)
     lifted = []
     for c, v in sub:

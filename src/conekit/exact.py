@@ -4,17 +4,18 @@ Matrices are stored row-major as tuples of tuples; entries are Python ints or
 `fractions.Fraction`, never floats.  All routines are pure functions on these
 immutable values, so results can be cached and shared freely.
 
-Provided here: fraction-free determinants, Smith and Hermite normal forms with
-their unimodular transforms, dual bases, saturation of column lattices,
-orthogonal lattice projection, and the change of basis that maps a projected
-lattice back onto the standard integer lattice.
+Provided here: fraction-free determinants and adjugates, Smith and Hermite
+normal forms with their unimodular transforms, saturation of column lattices,
+and the integer projection of a lattice along one of its primitive vectors.
+The rational `rat_det` and `rat_inverse` serve the cover construction and
+the oracle's independent checks; `solve` and `dual_basis` are the reference
+computations that the integer layer is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -196,7 +197,6 @@ def solve(a: Matrix, b: Sequence) -> Vector:
     m_rows = len(a)
     k = len(a[0]) if m_rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivots = []
     r = 0
     for j in range(k):
         pivot_row = next((i for i in range(r, m_rows) if aug[i][j] != 0), None)
@@ -209,7 +209,6 @@ def solve(a: Matrix, b: Sequence) -> Vector:
             if i != r and aug[i][j] != 0:
                 factor = aug[i][j]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(j)
         r += 1
     for i in range(r, m_rows):
         if aug[i][k] != 0:
@@ -404,16 +403,6 @@ class LatticeBasis:
     def rank(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.matrix)
-
-    def basis_columns(self) -> tuple:
-        return columns(self.matrix)
-
-    def gram_det(self) -> Fraction:
-        g = matmul(transpose(self.matrix), self.matrix)
-        return rat_det(g)
-
 
 def dual_basis(r: Matrix) -> Matrix:
     """Dual vectors of the columns of r (full column rank required).
@@ -451,95 +440,28 @@ def sublattice_basis(r: Matrix) -> LatticeBasis:
 
 @dataclass(frozen=True)
 class LatticeProjection:
-    """Projection of a lattice onto the orthogonal complement of a vector.
+    """Integer projection of a lattice W Z^k along its primitive vector W c.
 
-    `basis` spans the projected lattice; `preimages` holds, column for
-    column, lattice vectors that project onto the basis vectors; `primitive`
-    is the primitive lattice vector parallel to the projection direction.
+    With U unimodular and U c = e1, `coords` = U[1:] maps the lattice
+    coordinates x of a point W x onto the coordinates of its image in the
+    projected lattice, Z^(k-1); its kernel is Z c.  `preimages` = W U^{-1}[:, 1:]
+    holds, column for column, lattice vectors mapped onto the unit vectors,
+    and `primitive` = W c.
     """
 
-    basis: LatticeBasis
+    coords: Matrix
     preimages: Matrix
     primitive: Vector
-    direction: Vector
-
-    def project(self, v: Sequence) -> Vector:
-        r = self.direction
-        factor = Fraction(dot(v, r), dot(r, r))
-        return tuple(Fraction(x) - factor * y for x, y in zip(v, r))
 
 
-def project_lattice_full(lat: LatticeBasis, r: Sequence) -> LatticeProjection:
-    """Project the lattice onto r^perp, keeping preimage bookkeeping."""
-    r = tuple(r)
-    if all(x == 0 for x in r):
-        raise MembershipError("project_lattice: direction is zero")
-    coeffs = solve(lat.matrix, r)
-    c = as_int_vector(coeffs)  # raises when r is not a lattice vector
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-    c_prim = tuple(x // g for x in c)
-    # Extend the primitive coordinate vector to a basis of Z^k: with
-    # U c_prim = e1 we take the columns of U^{-1}, whose first column is c_prim.
-    _, u = hnf(tuple((x,) for x in c_prim))
+def project_lattice(lat: LatticeBasis, c: Sequence) -> LatticeProjection:
+    """Project the lattice along the vector with primitive coordinates c."""
+    h, u = hnf(tuple((x,) for x in c))
+    if h[0][0] != 1:
+        raise PreconditionError("project_lattice: direction is not primitive")
     w = int_inverse(u)
-    k = len(c_prim)
-    ambient_cols = []
-    for j in range(1, k):
-        col = tuple(w[i][j] for i in range(k))
-        ambient_cols.append(matvec(lat.matrix, col))
-    primitive = matvec(lat.matrix, c_prim)
-    rr = dot(r, r)
-    projected_cols = []
-    for v in ambient_cols:
-        factor = Fraction(dot(v, r), rr)
-        projected_cols.append(tuple(Fraction(x) - factor * y for x, y in zip(v, r)))
-    basis = LatticeBasis(from_columns(projected_cols) if projected_cols else
-                         tuple(() for _ in range(lat.ambient_dim)),
-                         lat.ambient_dim)
     return LatticeProjection(
-        basis=basis,
-        preimages=from_columns(ambient_cols) if ambient_cols else
-        tuple(() for _ in range(lat.ambient_dim)),
-        primitive=primitive,
-        direction=r,
+        coords=u[1:],
+        preimages=matmul(lat.matrix, tuple(row[1:] for row in w)),
+        primitive=matvec(lat.matrix, c),
     )
-
-
-def project_lattice(lat: LatticeBasis, r: Sequence) -> LatticeBasis:
-    """Basis of the lattice projected onto the orthogonal complement of r."""
-    return project_lattice_full(lat, r).basis
-
-
-@dataclass(frozen=True)
-class Reintegerization:
-    """Invertible change of coordinates between a lattice and Z^k.
-
-    Forward: ambient vector -> integer coordinates in the lattice basis.
-    Backward: coordinates -> ambient vector.  Round trips are exact.
-    """
-
-    basis: Matrix
-
-    def to_coords(self, v: Sequence) -> Vector:
-        return as_int_vector(solve(self.basis, v))
-
-    def from_coords(self, c: Sequence) -> Vector:
-        return matvec(self.basis, c)
-
-
-def integerize(vectors: Matrix, basis: Matrix):
-    """Coordinates of the given columns in the lattice basis.
-
-    Every column of `vectors` must be an integer combination of the basis
-    columns; non-integral coordinates raise MembershipError.  Returns the
-    integer coordinate matrix together with the transform object.
-    """
-    transform = Reintegerization(freeze(basis))
-    coord_cols = [transform.to_coords(col) for col in columns(vectors)]
-    n_rows = len(basis[0]) if basis else 0
-    coords = from_columns(coord_cols) if coord_cols else tuple(
-        () for _ in range(n_rows)
-    )
-    return coords, transform

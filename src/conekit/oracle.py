@@ -154,11 +154,7 @@ class CoverVerification:
 
 
 def _coord_columns(parent, sub) -> exact.Matrix:
-    sat = cones.saturation_basis(parent)
-    cols = [
-        exact.as_int_vector(exact.solve(sat.matrix, g)) for g in sub.generators
-    ]
-    return exact.from_columns(cols)
+    return exact.from_columns(cones.lattice_coords(parent, g) for g in sub.generators)
 
 
 def _basic_solution_intersect(inv_a, inv_b) -> bool:

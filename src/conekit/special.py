@@ -15,12 +15,11 @@ Three families with known decomposition behaviour:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import cones, cosets, exact
+from . import cones, cosets, exact, oracle
 from .cones import SimplicialCone
 from .errors import PreconditionError
 
@@ -177,7 +176,7 @@ def gorenstein_check(cone: SimplicialCone) -> GorensteinCheck:
     covering = y_integral
     if y_integral:
         yv = exact.as_int_vector(y)
-        for z in _dilated_points(cone, 2):
+        for z in oracle.dilated_sample(cone, 2):
             if not cones.contains_interior(cone, z):
                 continue
             if not cones.contains(cone, exact.vsub(z, yv)):
@@ -195,17 +194,6 @@ def gorenstein_check(cone: SimplicialCone) -> GorensteinCheck:
         divisor_count=_divisor_count(mult),
         cyclic=profile.cyclic,
     )
-
-
-def _dilated_points(cone: SimplicialCone, dilation: int):
-    """Integer points with coefficients in [0, dilation)^k."""
-    par = cones.enumerate_parallelepiped(cone)
-    for shift in itertools.product(range(dilation), repeat=cone.dim):
-        offset = tuple(0 for _ in range(cone.ambient_dim))
-        for c, g in zip(shift, cone.generators):
-            offset = exact.vadd(offset, exact.vscale(c, g))
-        for p in par.points:
-            yield exact.vadd(p.vector, offset)
 
 
 # ---------------------------------------------------------------------------

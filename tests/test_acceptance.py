@@ -71,7 +71,7 @@ def test_criterion_2_lemma_equivalence():
 def _projected_par_image(cone, data):
     image = set()
     for p in cones.enumerate_parallelepiped(cone).points:
-        proj = data.transform.to_coords(data.projection.project(p.vector))
+        proj = exact.matvec(data.coords, cones.lattice_coords(cone, p.vector))
         lam = cones.coefficients(data.subcone, proj)
         floors = tuple(floor(x) for x in lam)
         shift = tuple(0 for _ in proj)

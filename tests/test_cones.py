@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
-from conekit import cones, exact, gen, oracle
+from conekit import cones, cosets, exact, gen, oracle
 from conekit.cones import SimplicialCone
 from conekit.decompose import _projection_data
 from conekit.errors import MembershipError, PreconditionError
@@ -201,6 +202,50 @@ def test_scaled_coefficients_sign_and_shape_guard():
                 assert not cones.contains(cone, e)
     assert negative > 0
     assert lower_dim > 0
+
+
+def test_class_reps_match_rational_duals_guard():
+    # Coset labels read off the integer context equal the pairings of the
+    # rational dual basis with the saturation basis, reduced mod 1.
+    for cone in _guard_cones():
+        wt = exact.transpose(cones.saturation_basis(cone).matrix)
+        expected = tuple(
+            tuple(x - floor(x) for x in exact.matvec(wt, dual))
+            for dual in exact.columns(exact.dual_basis(cone.matrix))
+        )
+        assert cosets.coset_profile(cone).class_reps == expected
+
+
+def _orth_project(v, r):
+    factor = Fraction(exact.dot(v, r), exact.dot(r, r))
+    return tuple(x - factor * y for x, y in zip(v, r))
+
+
+def test_projected_coords_match_rational_route_guard():
+    # The integer projection agrees with the rational route: project
+    # orthogonally along the axis, then solve in the projected preimages.
+    rng = random.Random(19)
+    for cone in _guard_cones():
+        if cone.dim < 2:
+            continue
+        points = _guard_points(cone, rng)
+        for axis in range(cone.dim):
+            data = _projection_data(cone, axis)
+            r = cone.generators[axis]
+            basis = exact.from_columns(
+                _orth_project(col, r) for col in exact.columns(data.preimages)
+            )
+
+            def rational_route(z):
+                return exact.as_int_vector(exact.solve(basis, _orth_project(z, r)))
+
+            assert data.subcone.generators == tuple(
+                rational_route(cone.generators[l]) for l in data.kept
+            )
+            for z in points:
+                assert exact.matvec(
+                    data.coords, cones.lattice_coords(cone, z)
+                ) == rational_route(z)
 
 
 def test_lattice_coords_rejects_wrong_length():

@@ -88,7 +88,7 @@ def test_projection_preserves_coset_structure():
             par = cones.enumerate_parallelepiped(cone)
             image = set()
             for p in par.points:
-                proj = data.transform.to_coords(data.projection.project(p.vector))
+                proj = exact.matvec(data.coords, cones.lattice_coords(cone, p.vector))
                 lam = cones.coefficients(data.subcone, proj)
                 # reduce into the half-open parallelepiped
                 floors = tuple(floor(x) for x in lam)

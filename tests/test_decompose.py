@@ -170,10 +170,11 @@ def test_decomposition_valid_on_random_sample():
 
 
 def test_per_point_path_builds_no_fraction():
-    # Membership, coordinates and certificate checks stay in int arithmetic,
-    # cache misses on fresh cones, facets and projected subcones included.
+    # Membership, coordinates, the projection route and certificate checks
+    # stay in int arithmetic, cache misses on fresh cones, facets and
+    # projected subcones included.
     watched = {"lattice_coords", "scaled_coefficients", "contains",
-               "contains_interior", "_validate"}
+               "contains_interior", "_validate", "_projection_data", "_lift"}
     offenders = set()
 
     def hook(frame, event, arg):
@@ -189,10 +190,18 @@ def test_per_point_path_builds_no_fraction():
     config = experiments.ExperimentConfig(
         dim_lo=4, dim_hi=5, det_lo=2, det_hi=4, count=1, dilation=2, seed=31
     )
+    # An equal pair (generators 0 and 1) sends this sample down the
+    # projection route, which the sweep above never takes.
+    skew, _ = make_skew_cone(4, (1, 1, 2, 5))
+    projections = 0
     sys.setprofile(hook)
     try:
         rows = experiments.run_experiment(config)
+        for z in oracle.dilated_sample(skew, 2):
+            steps = decompose(skew, z).trace.steps
+            projections += sum(isinstance(s, ProjectStep) for s in steps)
     finally:
         sys.setprofile(None)
     assert len(rows) == 6
+    assert projections > 0
     assert offenders == set()

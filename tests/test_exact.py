@@ -1,12 +1,13 @@
 """Exact linear algebra: determinants, normal forms, duals, projections."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit import exact
+from conekit import cones, exact
 from conekit.errors import MembershipError, PreconditionError
 
 
@@ -144,66 +145,95 @@ def test_sublattice_basis_examples():
     lat = exact.sublattice_basis(exact.identity(3))
     assert lat.matrix == exact.identity(3)
     lat = exact.sublattice_basis(exact.from_columns(((2, 2),)))
-    assert _same_lattice(lat.basis_columns(), ((1, 1),))
+    assert _same_lattice(exact.columns(lat.matrix), ((1, 1),))
     lat = exact.sublattice_basis(exact.from_columns(((1, 0), (1, 2))))
     assert lat.matrix == exact.identity(2)
+
+
+def _orth_project(v, r):
+    """Rational orthogonal projection of v onto the complement of r."""
+    factor = Fraction(exact.dot(v, r), exact.dot(r, r))
+    return tuple(x - factor * y for x, y in zip(v, r))
+
+
+def _projected_basis(lp):
+    """Orthogonal projections of the preimage columns along the axis."""
+    return tuple(
+        _orth_project(col, lp.primitive) for col in exact.columns(lp.preimages)
+    )
+
+
+def _gram_det(cols):
+    m = exact.from_columns(cols)
+    return exact.rat_det(exact.matmul(exact.transpose(m), m))
 
 
 def test_project_lattice_examples():
     z2 = exact.LatticeBasis(exact.identity(2), 2)
     proj = exact.project_lattice(z2, (0, 1))
-    assert _same_lattice(proj.basis_columns(), ((1, 0),))
+    assert proj.primitive == (0, 1)
+    assert exact.matvec(proj.coords, (0, 1)) == (0,)
+    assert _same_lattice(_projected_basis(proj), ((1, 0),))
     proj = exact.project_lattice(z2, (1, 1))
-    cols = proj.basis_columns()
+    cols = _projected_basis(proj)
     assert len(cols) == 1
     assert cols[0] in ((Fraction(1, 2), Fraction(-1, 2)),
                        (Fraction(-1, 2), Fraction(1, 2)))
     z3 = exact.LatticeBasis(exact.identity(3), 3)
     proj = exact.project_lattice(z3, (0, 0, 1))
-    assert _same_lattice(proj.basis_columns(), ((1, 0, 0), (0, 1, 0)))
+    assert _same_lattice(_projected_basis(proj), ((1, 0, 0), (0, 1, 0)))
 
 
 def test_project_lattice_gram_determinant_law():
     # Squared covolume drops by exactly |p|^2 for the primitive direction p.
     z2 = exact.LatticeBasis(exact.identity(2), 2)
-    for r in ((1, 1), (2, 2), (1, 3), (5, 2)):
-        full = exact.project_lattice_full(z2, r)
-        p = full.primitive
-        norm2 = exact.dot(p, p)
-        assert full.basis.gram_det() == Fraction(z2.gram_det(), norm2)
+    skew = exact.LatticeBasis(exact.from_columns(((1, 1, 0), (0, 1, 2))), 3)
+    for lat, directions in ((z2, ((1, 1), (2, 2), (1, 3), (5, 2))),
+                            (skew, ((1, 0), (0, 1), (1, 1), (2, -3)))):
+        for r in directions:
+            full = exact.project_lattice(lat, cones.primitive(r))
+            p = full.primitive
+            assert p == exact.matvec(lat.matrix, cones.primitive(r))
+            norm2 = exact.dot(p, p)
+            assert _gram_det(_projected_basis(full)) == Fraction(
+                _gram_det(exact.columns(lat.matrix)), norm2
+            )
 
 
 def test_project_lattice_rejects_bad_direction():
     z2 = exact.LatticeBasis(exact.identity(2), 2)
-    with pytest.raises(MembershipError):
-        exact.project_lattice(z2, (0, 0))
-    even = exact.LatticeBasis(exact.from_columns(((2, 0), (0, 2))), 2)
-    with pytest.raises(MembershipError):
-        exact.project_lattice(even, (1, 0))
+    for c in ((0, 0), (2, 0), (3, -6)):
+        with pytest.raises(PreconditionError):
+            exact.project_lattice(z2, c)
 
 
 def test_preimages_project_onto_basis():
+    # The coordinate map sends each preimage to its unit vector and the
+    # axis to zero.
     z3 = exact.LatticeBasis(exact.identity(3), 3)
-    full = exact.project_lattice_full(z3, (1, 2, 2))
-    for pre, col in zip(
-        exact.columns(full.preimages), full.basis.basis_columns()
-    ):
-        assert full.project(pre) == tuple(Fraction(x) for x in col)
+    full = exact.project_lattice(z3, (1, 2, 2))
+    assert exact.matmul(full.coords, full.preimages) == exact.identity(2)
+    assert exact.matvec(full.coords, full.primitive) == (0, 0)
 
 
-def test_integerize_examples():
-    vectors = exact.from_columns(((1, 1), (1, -1)))
-    basis = exact.from_columns(((1, 1), (0, 2)))
-    coords, transform = exact.integerize(vectors, basis)
-    assert exact.columns(coords) == ((1, 0), (1, -1))
-    for col in exact.columns(vectors):
-        assert transform.from_coords(transform.to_coords(col)) == col
-
-
-def test_integerize_rejects_outside_lattice():
-    basis = exact.from_columns(((2, 0), (0, 2)))
-    with pytest.raises(MembershipError):
-        exact.integerize(exact.from_columns(((1, 0),)), basis)
+def test_project_lattice_round_trip():
+    # Every lattice point is the preimage of its projected coordinates plus
+    # an integer multiple of the axis, and those coordinates solve the
+    # rational orthogonal projection in the projected basis.
+    lat = exact.LatticeBasis(
+        exact.from_columns(((1, 1, 0), (0, 2, 0), (0, 1, 3))), 3
+    )
+    full = exact.project_lattice(lat, (1, -1, 2))
+    basis = exact.from_columns(_projected_basis(full))
+    p = full.primitive
+    for x in itertools.product(range(-2, 3), repeat=3):
+        z = exact.matvec(lat.matrix, x)
+        y = exact.matvec(full.coords, x)
+        rest = exact.vsub(z, exact.matvec(full.preimages, y))
+        t = Fraction(exact.dot(rest, p), exact.dot(p, p))
+        assert t.denominator == 1
+        assert rest == exact.vscale(int(t), p)
+        assert exact.solve(basis, _orth_project(z, p)) == y
 
 
 def test_solve_errors():

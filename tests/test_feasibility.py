@@ -1,8 +1,9 @@
 """Exact Fourier-Motzkin feasibility on small systems."""
 
+import random
 from fractions import Fraction
 
-from conekit import exact, feasibility
+from conekit import exact, feasibility, gen, oracle
 from conekit.cones import SimplicialCone
 
 
@@ -58,3 +59,26 @@ def test_open_cones_disjoint_halves():
     # The two halves of the first quadrant split along (1, 1): interiors
     # are disjoint even though they share the diagonal ray.
     assert not feasibility.open_cones_intersect(_inverse(a), _inverse(b))
+
+
+def test_fourier_motzkin_agrees_with_basic_solutions():
+    # Two independent open-cone intersection tests, Fourier-Motzkin
+    # elimination and the oracle's basic-solution enumeration, agree on
+    # random full-dimensional cone pairs, on the two halves of a cone split
+    # along g0 + g1 (a shared facet, disjoint interiors) and on a cone with
+    # one of its halves; both verdicts must occur.
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(40):
+        dim = rng.randint(2, 4)
+        r, s = (gen.random_cone(dim, rng.randint(1, 6), rng) for _ in range(2))
+        g = r.generators
+        mid = exact.vadd(g[0], g[1])
+        left = SimplicialCone((g[0], mid) + g[2:])
+        right = SimplicialCone((mid,) + g[1:])
+        for a, b, expected in ((r, s, None), (left, right, False), (r, left, True)):
+            fm = feasibility.open_cones_intersect(_inverse(a), _inverse(b))
+            assert fm == oracle._basic_solution_intersect(_inverse(a), _inverse(b))
+            assert expected is None or fm == expected
+            verdicts.append(fm)
+    assert set(verdicts) == {True, False}
