@@ -4,15 +4,17 @@ Cone files are JSON documents {"generators": [[...], ...]} whose inner lists
 are generator columns.  Entries are JSON integers up to 2^53 - 1; larger
 values must be written as decimal strings so no precision is lost.
 
-Exit codes: 0 success, 2 parse error, 3 membership error (including a point
-of the wrong length), 4 precondition error, 5 internal certificate failure,
-6 search node budget exhausted.
+Exit codes: 0 success, 1 standard output closed by its reader (e.g. piped
+into `head`; nothing more is written), 2 parse error, 3 membership error
+(including a point of the wrong length), 4 precondition error, 5 internal
+certificate failure, 6 search node budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -304,10 +306,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
     except ConekitError as err:
         print(f"error: {err}", file=sys.stderr)
         return getattr(err, "exit_code", 5)
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; send that flush to
+        # devnull so it cannot report the closed pipe a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -126,14 +126,6 @@ def _independent_rows(m: exact.Matrix, k: int) -> tuple:
     raise PreconditionError("matrix does not have full column rank")
 
 
-def _scaled_inverse(a: exact.Matrix):
-    """(det a, |det a| * a^{-1}) as integers."""
-    d, adj = exact.adjugate(a)
-    if d < 0:
-        adj = exact.freeze(tuple(-x for x in row) for row in adj)
-    return d, adj
-
-
 def _solve_rows(w, row_idx, w_rows_adj, w_rows_det, z) -> tuple:
     """The integer x with W x = z, read off the row block; raises if none."""
     x = []
@@ -152,13 +144,13 @@ def _solve_rows(w, row_idx, w_rows_adj, w_rows_det, z) -> tuple:
 def _context(cone: SimplicialCone) -> _ConeContext:
     w = exact.sublattice_basis(cone.matrix)
     row_idx = _independent_rows(w.matrix, cone.dim)
-    d, w_rows_adj = _scaled_inverse(tuple(w.matrix[i] for i in row_idx))
+    d, w_rows_adj = exact.scaled_inverse(tuple(w.matrix[i] for i in row_idx))
     w_rows_det = abs(d)
     coord = exact.from_columns(
         _solve_rows(w.matrix, row_idx, w_rows_adj, w_rows_det, g)
         for g in cone.generators
     )
-    det_coord, coord_adj = _scaled_inverse(coord)
+    det_coord, coord_adj = exact.scaled_inverse(coord)
     return _ConeContext(
         sat=w,
         coord=coord,

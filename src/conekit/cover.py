@@ -15,6 +15,13 @@ groups of five cones each built around a generator edge.  Within the side
 groups the assignment of generators to triangulated parallelepiped-point
 cones is fixed by searching the (at most 16) candidate configurations for
 the one whose cones are all unimodular with pairwise disjoint interiors.
+
+The construction computes with integers only: coefficient vectors are
+scaled by 5, unimodularity is a Bareiss determinant of the scaled matrix,
+and Fourier-Motzkin receives its sign-normalised integer adjugate rows.  The
+rational `exact.rat_det`/`rat_inverse` are not used; the tests keep them as
+the reference the integer construction is compared against.  The only
+`Fraction`s built are the public `volume` and `volume_target`.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm, prod
 
 from . import cones, cosets, exact, feasibility
 from .cones import SimplicialCone
@@ -77,26 +85,24 @@ class UnimodularCover:
     disjoint_pairs: int  # number of verified interior-disjoint pairs
 
 
-def _element_lams() -> dict:
-    lams = {}
-    for m in range(4):
-        lams[f"r{m + 1}"] = tuple(
-            Fraction(1) if j == m else Fraction(0) for j in range(4)
-        )
-    for label, scaled in _Y_SCALED.items():
-        lams[label] = tuple(Fraction(x, 5) for x in scaled)
-    return lams
+# Scaled coefficient vectors 5 * lambda of all eight cover elements: the
+# relabelled generators r1..r4 and the parallelepiped points y1..y4.
+_SCALED = {f"r{m + 1}": tuple(5 * (j == m) for j in range(4)) for m in range(4)}
+_SCALED.update(_Y_SCALED)
 
 
-def _lam_matrix(lams: dict, labels) -> exact.Matrix:
-    return exact.from_columns([lams[lbl] for lbl in labels])
+def _scaled_matrix(labels) -> exact.Matrix:
+    """5 L for the coefficient matrix L of the labelled elements, integer."""
+    return exact.from_columns([_SCALED[lbl] for lbl in labels])
 
 
-def _is_unimodular(lams: dict, labels) -> bool:
-    return abs(exact.rat_det(_lam_matrix(lams, labels))) == Fraction(1, 5)
+def _is_unimodular(labels) -> bool:
+    # det(5 L) = 5^4 det L, and unimodular in the parent lattice means
+    # det L = +-1/5 (the parent has multiplicity 5).
+    return abs(exact.det(_scaled_matrix(labels))) == 125
 
 
-def _side_group_configs(lams: dict, r_edge, y_edge, others):
+def _side_group_configs(r_edge, y_edge, others):
     """Candidate 5-cone layouts covering one side of the split cone.
 
     Returns (fixed_cones, configs) where fixed_cones holds the generator-edge
@@ -108,7 +114,7 @@ def _side_group_configs(lams: dict, r_edge, y_edge, others):
         r_edge + (y, o)
         for o in others
         for y in y_edge
-        if _is_unimodular(lams, r_edge + (y, o))
+        if _is_unimodular(r_edge + (y, o))
     ]
     if len(side) != 2:
         raise CertificateError(
@@ -121,7 +127,7 @@ def _side_group_configs(lams: dict, r_edge, y_edge, others):
     for r_a in r_edge:
         for r_b in r_edge:
             pair = ((r_a,) + tri1, (r_b,) + tri2)
-            if all(_is_unimodular(lams, c) for c in pair):
+            if all(_is_unimodular(c) for c in pair):
                 configs.append(pair)
     return tuple(fixed), tuple(configs)
 
@@ -130,16 +136,15 @@ def _relabel_order(cone: SimplicialCone):
     par = cones.enumerate_parallelepiped(cone)
     nonzero = par.nonzero()
     for p in nonzero:
-        scaled = sorted(int(5 * x) for x in p.lam)
-        if scaled != [1, 2, 3, 4]:
+        if sorted(p.scaled) != [1, 2, 3, 4]:
             raise PreconditionError(
                 "parallelepiped point coefficients are not a permutation of "
                 "(1,2,3,4)/5; the cover construction does not apply"
             )
     y1 = nonzero[0]  # lexicographically smallest by coefficients
     order = [None] * 4
-    for i, lam in enumerate(y1.lam):
-        order[int(5 * lam) - 1] = i
+    for i, x in enumerate(y1.scaled):
+        order[x - 1] = i
     return tuple(order)
 
 
@@ -157,31 +162,29 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
         )
     relabel = _relabel_order(cone)
     base = SimplicialCone(tuple(cone.generators[i] for i in relabel))
-    lams = _element_lams()
 
     par = cones.enumerate_parallelepiped(base)
-    by_lam = {p.lam: p.vector for p in par.nonzero()}
+    by_scaled = {p.scaled: p.vector for p in par.nonzero()}
     vectors = {}
     for m in range(4):
         vectors[f"r{m + 1}"] = base.generators[m]
-    for label in _Y_SCALED:
-        lam = lams[label]
-        if lam not in by_lam:
+    for label, scaled in _Y_SCALED.items():
+        if scaled not in by_scaled:
             raise CertificateError(f"parallelepiped point for {label} is missing")
-        vectors[label] = by_lam[lam]
+        vectors[label] = by_scaled[scaled]
 
     fixed_sets = list(_GROUP_A + _GROUP_B)
     side_configs = []
     for r_edge, y_edge, others in _SIDE_GROUPS:
-        fixed, configs = _side_group_configs(lams, r_edge, y_edge, others)
+        fixed, configs = _side_group_configs(r_edge, y_edge, others)
         fixed_sets.extend(fixed)
         side_configs.append(configs)
 
     for label_set in fixed_sets:
-        if not _is_unimodular(lams, label_set):
+        if not _is_unimodular(label_set):
             raise CertificateError(f"subcone {label_set} is not unimodular")
 
-    checker = _DisjointnessChecker(lams)
+    checker = _DisjointnessChecker()
     for a, b in combinations(fixed_sets, 2):
         if not checker.disjoint(a, b):
             raise CertificateError(f"subcones {a} and {b} overlap")
@@ -207,33 +210,35 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
         raise CertificateError("no interior-disjoint cover configuration found")
 
     subcones = []
-    volume = Fraction(0)
     census = [0, 0, 0]
+    volumes = []  # (|det 5L|, product of the column sums of 5L) per subcone
     for label_set in chosen:
         sub = SimplicialCone(tuple(vectors[lbl] for lbl in label_set))
-        lam_cols = _lam_matrix(lams, label_set)
-        det_coords = int(5 * exact.rat_det(lam_cols))
-        if abs(det_coords) != 1:
+        det_scaled = exact.det(_scaled_matrix(label_set))
+        if abs(det_scaled) != 125:
             raise CertificateError(f"subcone {label_set} is not unimodular")
         gen_count = sum(1 for lbl in label_set if lbl.startswith("r"))
         census[3 - gen_count] += 1
-        # Normalized volume of the simplex on the degree-scaled spanning
-        # points: generators count with coefficient sum 1, par points with 2.
-        scale = [2 / sum(lams[lbl], Fraction(0)) for lbl in label_set]
-        scaled_cols = [
-            exact.vscale(s, col)
-            for s, col in zip(scale, exact.columns(lam_cols))
-        ]
-        volume += 5 * abs(exact.rat_det(exact.from_columns(scaled_cols))) / 24
+        volumes.append(
+            (abs(det_scaled), prod(sum(_SCALED[lbl]) for lbl in label_set))
+        )
         subcones.append(
             CoverSubcone(
                 labels=label_set,
                 cone=sub,
-                det_coords=det_coords,
+                det_coords=det_scaled // 125,
                 generator_count=gen_count,
             )
         )
 
+    # Normalized volume of the simplex on the degree-scaled spanning points:
+    # generators count with coefficient sum 1, par points with 2, so column
+    # j of L is scaled by 2 / sum(L_j) = 10 / sum(5 L_j) and the simplex has
+    # normalized volume 5 |det 5L| 2^4 / (prod_j sum(5 L_j) * 4!).
+    common = lcm(*(p for _, p in volumes))
+    volume = Fraction(
+        5 * 2**4 * sum(d * (common // p) for d, p in volumes), 24 * common
+    )
     target = Fraction(5 * 2**4, 24)
     if volume != target:
         raise CertificateError(f"cover volume {volume} != {target}")
@@ -254,25 +259,27 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
 
 
 class _DisjointnessChecker:
-    """Memoized exact interior-disjointness of label-set subcones."""
+    """Memoized exact interior-disjointness of label-set subcones.
 
-    def __init__(self, lams):
-        self._lams = lams
-        self._inverses = {}
+    Each cone is given to Fourier-Motzkin by the sign-normalised adjugate
+    rows of 5 L, positive multiples of the rows of L^{-1}: the open cone
+    {x : L^{-1} x > 0} is the same.
+    """
+
+    def __init__(self):
+        self._rows = {}
         self._results = {}
 
-    def _inverse(self, labels):
-        if labels not in self._inverses:
-            self._inverses[labels] = exact.rat_inverse(
-                _lam_matrix(self._lams, labels)
-            )
-        return self._inverses[labels]
+    def _adjugate_rows(self, labels):
+        if labels not in self._rows:
+            self._rows[labels] = exact.scaled_inverse(_scaled_matrix(labels))[1]
+        return self._rows[labels]
 
     def disjoint(self, a, b) -> bool:
         key = frozenset((a, b))
         if key not in self._results:
             self._results[key] = not feasibility.open_cones_intersect(
-                self._inverse(a), self._inverse(b)
+                self._adjugate_rows(a), self._adjugate_rows(b)
             )
         return self._results[key]
 

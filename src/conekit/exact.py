@@ -4,18 +4,21 @@ Matrices are stored row-major as tuples of tuples; entries are Python ints or
 `fractions.Fraction`, never floats.  All routines are pure functions on these
 immutable values, so results can be cached and shared freely.
 
-Provided here: fraction-free determinants and adjugates, Smith and Hermite
-normal forms with their unimodular transforms, saturation of column lattices,
-and the integer projection of a lattice along one of its primitive vectors.
-The rational `rat_det` and `rat_inverse` serve the cover construction and
-the oracle's independent checks; `solve` and `dual_basis` are the reference
-computations that the integer layer is tested against.
+Provided here: fraction-free (Bareiss) determinants, adjugates, sign-
+normalised adjugates and Cramer solutions, Smith and Hermite normal forms
+with their unimodular transforms, saturation of column lattices, and the
+integer projection of a lattice along one of its primitive vectors.  The
+fraction-free kernels accept int entries only.  Nothing in the library
+computes with the rational `rat_det`, `rat_inverse`, `solve` and
+`dual_basis`: they are the references the integer layer is tested against,
+and `perfbench` times `rat_det`/`rat_inverse` as rational-elimination probes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import mul
 from typing import Sequence
 
@@ -88,12 +91,28 @@ def as_int_vector(v: Sequence) -> Vector:
 # determinants and rational elimination
 
 
-def det(a: Matrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+def _int_rows(a: Matrix, name: str, extra=None) -> list:
+    """Rows of the square matrix a as lists, each followed by `extra`'s row.
+
+    Raises PreconditionError on a non-square matrix or a non-int entry: the
+    fraction-free kernels below divide exactly only over the integers.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
-        raise PreconditionError("det: matrix is not square")
-    m = [[int(x) for x in row] for row in a]
+        raise PreconditionError(f"{name}: matrix is not square")
+    if extra is None:
+        m = [list(row) for row in a]
+    else:
+        m = [list(row) + list(tail) for row, tail in zip(a, extra)]
+    if not all(map(isinstance, chain.from_iterable(m), repeat(int))):
+        raise PreconditionError(f"{name}: entries must be ints")
+    return m
+
+
+def det(a: Matrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    m = _int_rows(a, "det")
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -113,37 +132,83 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1] if n > 0 else 1
 
 
-def adjugate(a: Matrix):
-    """Determinant and adjugate of a square integer matrix, fraction-free.
+def _bareiss_jordan(m: list, n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination of the rows m = [a | b] in place.
 
-    Bareiss-style Gauss-Jordan elimination on [a | I]: after step k every
-    entry is a minor of the augmented matrix, so each division is exact.
-    Returns (det a, adj a) with adj a = det a * a^{-1}, all ints.  Raises
-    PreconditionError when a is singular.
+    After step k every entry right of column k is a minor of the augmented
+    matrix, so each division is exact; the columns up to k are not needed
+    again and are left as they are.  Returns det a and leaves adj(a) b in
+    the right block of m; returns 0, with m partly reduced, when a is
+    singular.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise PreconditionError("adjugate: matrix is not square")
-    m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a)]
     sign = 1
     prev = 1
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
         if pivot_row is None:
-            raise PreconditionError("adjugate: matrix is singular")
+            return 0
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         pk = m[k][k]
-        row_k = m[k]
+        tail_k = m[k][k + 1:]
         for i in range(n):
             if i != k:
-                f = m[i][k]
-                m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], row_k)]
+                row = m[i]
+                f = row[k]
+                row[k + 1:] = [
+                    (pk * x - f * y) // prev for x, y in zip(row[k + 1:], tail_k)
+                ]
         prev = pk
-    # The right block is prev * a^{-1}, and prev = sign * det a.
-    return sign * prev, freeze([sign * x for x in row[n:]] for row in m)
+    # The right block is prev * a^{-1} b, and prev = sign * det a.
+    if sign < 0:
+        for i in range(n):
+            m[i] = [-x for x in m[i]]
+    return sign * prev
+
+
+def adjugate(a: Matrix):
+    """Determinant and adjugate of a square integer matrix, fraction-free.
+
+    Bareiss Gauss-Jordan elimination on [a | I].  Returns (det a, adj a) with
+    adj a = det a * a^{-1}, all ints.  Raises PreconditionError when a is
+    singular.
+    """
+    n = len(a)
+    m = _int_rows(a, "adjugate", identity(n))
+    d = _bareiss_jordan(m, n)
+    if d == 0:
+        raise PreconditionError("adjugate: matrix is singular")
+    return d, freeze(row[n:] for row in m)
+
+
+def cramer(a: Matrix, b: Sequence):
+    """(det a, adj(a) b) for a square integer matrix a, fraction-free.
+
+    Bareiss Gauss-Jordan elimination on [a | b] with the single right-hand
+    column b, so the solution of a x = b is adj(a) b / det a.  Returns
+    (0, None) when a is singular.
+    """
+    n = len(a)
+    if len(b) != n:
+        raise PreconditionError("cramer: right-hand side has the wrong length")
+    m = _int_rows(a, "cramer", tuple((x,) for x in b))
+    d = _bareiss_jordan(m, n)
+    if d == 0:
+        return 0, None
+    return d, tuple(row[n] for row in m)
+
+
+def scaled_inverse(a: Matrix):
+    """(det a, |det a| * a^{-1}) for a nonsingular square integer matrix.
+
+    The sign-normalised adjugate: its rows are positive multiples of the rows
+    of a^{-1}, so they describe the same open cone {x : a^{-1} x > 0}.
+    """
+    d, adj = adjugate(a)
+    if d < 0:
+        adj = freeze(tuple(-x for x in row) for row in adj)
+    return d, adj
 
 
 def rat_det(a: Matrix) -> Fraction:

@@ -3,25 +3,28 @@
 Fourier-Motzkin elimination over exact rationals.  Constraints are kept in a
 canonical integer form and deduplicated after every elimination step, the
 variable with the fewest pairings is eliminated first, and the final
-variable is resolved by comparing bounds directly.  Only meant for systems
-with a handful of variables (open-cone intersection tests).
+variable is resolved by comparing bounds directly, cross-multiplied.
+Coefficients may be ints or `Fraction`s: the cover construction passes
+integer adjugate rows, and `perfbench` probes the same routine with the
+rational inverses of `exact.rat_inverse`.  Only meant for systems with a
+handful of variables (open-cone intersection tests).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import exact
 
 
 def _canonical(coeffs, rhs):
-    """Scale a . x >= b by a positive rational into coprime integer form."""
-    denoms = [Fraction(x).denominator for x in coeffs]
-    denoms.append(Fraction(rhs).denominator)
-    scale = lcm(*denoms)
-    ints = [int(Fraction(x) * scale) for x in coeffs]
-    b = int(Fraction(rhs) * scale)
+    """Scale a . x >= b by a positive rational into coprime integer form.
+
+    Entries are ints or Fractions; both carry `numerator` and `denominator`.
+    """
+    scale = lcm(*(x.denominator for x in coeffs), rhs.denominator)
+    ints = [x.numerator * (scale // x.denominator) for x in coeffs]
+    b = rhs.numerator * (scale // rhs.denominator)
     g = gcd(*ints, b)
     if g > 1:
         ints = [x // g for x in ints]
@@ -58,10 +61,13 @@ def fm_feasible(constraints, num_vars: int) -> bool:
                 rest.add((a, b))
         alive.discard(var)
         if not alive:
-            # Single variable left: compare the best lower and upper bounds.
-            lo = max((Fraction(b, a[var]) for a, b in lowers), default=None)
-            hi = min((Fraction(b, a[var]) for a, b in uppers), default=None)
-            return lo is None or hi is None or lo <= hi
+            # Single variable left: every lower bound b1 / c1 must lie at or
+            # below every upper bound b2 / a2[var] = -b2 / c2 (c1, c2 > 0).
+            return all(
+                b1 * -a2[var] + b2 * a1[var] <= 0
+                for a1, b1 in lowers
+                for a2, b2 in uppers
+            )
         for a1, b1 in lowers:
             c1 = a1[var]
             for a2, b2 in uppers:
@@ -82,10 +88,11 @@ def fm_feasible(constraints, num_vars: int) -> bool:
 def open_cones_intersect(inv_a: exact.Matrix, inv_b: exact.Matrix) -> bool:
     """Whether the interiors of two full-dimensional simplicial cones meet.
 
-    Arguments are the rational inverses of the generator matrices; a point x
-    is interior to a cone exactly when inv . x is strictly positive, and by
-    homogeneity strict positivity is equivalent to inv . x >= 1 being
-    feasible.
+    Arguments are the inverses of the generator matrices, rational, or
+    scaled row by row by positive numbers such as the integer sign-normalised
+    adjugates of `exact.scaled_inverse`; a point x is interior to a cone
+    exactly when inv . x is strictly positive, and by homogeneity strict
+    positivity is equivalent to inv . x >= 1 being feasible.
     """
     k = len(inv_a)
     constraints = [(row, 1) for row in inv_a] + [(row, 1) for row in inv_b]

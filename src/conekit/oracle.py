@@ -6,6 +6,11 @@ by basic-solution enumeration instead of variable elimination, and sampled
 checks of the dimension bound on dilated point sets.  The routines share no
 logic with the decomposition engine beyond the Hilbert basis itself, so
 agreement between the two is meaningful evidence.
+
+All of it computes with integers: the cover check solves its candidate
+vertices with the fraction-free `exact.cramer`.  The rational
+`exact.rat_det`/`rat_inverse` are not used here; they stay in `exact` as the
+references the tests compare the integer kernels against.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from . import cones, exact, search
 from .cones import SimplicialCone
@@ -157,25 +162,28 @@ def _coord_columns(parent, sub) -> exact.Matrix:
     return exact.from_columns(cones.lattice_coords(parent, g) for g in sub.generators)
 
 
-def _basic_solution_intersect(inv_a, inv_b) -> bool:
-    """Whether two open cones meet, by enumerating basic solutions.
+def _basic_solution_intersect(rows_a, rows_b) -> bool:
+    """Whether two open cones {x : rows . x > 0} meet, by basic solutions.
 
-    The closed system stacks inv_a . x >= 1 and inv_b . x >= 1.  Its
-    feasible region lies inside a pointed translated cone (the first block
-    is invertible), so when nonempty it has a vertex, and every vertex makes
-    some d of the constraints tight with an invertible coefficient
-    submatrix.  Checking all candidate vertices is therefore a complete
-    feasibility test.
+    The rows are integer, e.g. the sign-normalised adjugates of the generator
+    matrices.  By homogeneity the question is whether the closed system
+    rows_a . x >= 1, rows_b . x >= 1 is feasible.  Its feasible region lies
+    inside a pointed translated cone (the first block is invertible), so when
+    nonempty it has a vertex, and every vertex makes some d of the
+    constraints tight with an invertible coefficient submatrix.  Checking all
+    candidate vertices is therefore a complete feasibility test.  The vertex
+    of a tight subset `sub` is y / D with (D, y) = (det sub, adj(sub) . 1),
+    so row . x >= 1 reads row . y >= D once D > 0.
     """
-    rows = list(inv_a) + list(inv_b)
-    d = len(inv_a)
-    ones = tuple(1 for _ in range(d))
-    for subset in itertools.combinations(range(len(rows)), d):
-        sub = exact.freeze(rows[i] for i in subset)
-        if exact.rat_det(sub) == 0:
+    rows = tuple(rows_a) + tuple(rows_b)
+    ones = (1,) * len(rows_a)
+    for sub in itertools.combinations(rows, len(rows_a)):
+        d, y = exact.cramer(sub, ones)
+        if d == 0:
             continue
-        x = exact.matvec(exact.rat_inverse(sub), ones)
-        if all(exact.dot(row, x) >= 1 for row in rows):
+        if d < 0:
+            d, y = -d, tuple(-v for v in y)
+        if all(exact.dot(row, y) >= d for row in rows):
             return True
     return False
 
@@ -184,9 +192,12 @@ def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification
     """Re-check a covering family without reusing its construction.
 
     Unimodularity is certified by parallelepiped enumeration (exactly one
-    lattice point), interior disjointness by basic-solution enumeration, the
-    volume identity by summing exact simplex volumes in the parent lattice
-    coordinates, and completeness by membership tests on sampled points.
+    lattice point), interior disjointness by basic-solution enumeration on
+    the sign-normalised integer adjugates of the subcones' coordinate
+    matrices, the volume identity by summing exact simplex volumes in the
+    parent lattice coordinates, and completeness by membership tests on
+    sampled points.  Everything is integer; the only `Fraction`s built are
+    the reported volume and the target it is compared with.
     """
     failures = []
     subcones = [s.cone for s in cover.subcones]
@@ -197,26 +208,28 @@ def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification
             unimodular_ok = False
             failures.append(f"subcone {idx} is not unimodular")
 
-    inverses = []
-    for sub in subcones:
-        inverses.append(exact.rat_inverse(_coord_columns(cone, sub)))
+    # A non-unimodular subcone still has a nonsingular coordinate matrix, so
+    # its adjugate rows exist and the checks below run on it as well.
+    adjugates = [exact.scaled_inverse(_coord_columns(cone, sub)) for sub in subcones]
     disjoint_ok = True
     for a, b in itertools.combinations(range(len(subcones)), 2):
-        if _basic_solution_intersect(inverses[a], inverses[b]):
+        if _basic_solution_intersect(adjugates[a][1], adjugates[b][1]):
             disjoint_ok = False
             failures.append(f"subcones {a} and {b} share interior points")
 
-    volume = Fraction(0)
+    # Simplex on the degree-scaled spanning points: column g is scaled by
+    # 2 / (coefficient sum of g) = 2 * mult / sum(scaled coefficients of g),
+    # so its volume is |det| * (2 mult)^k / (prod of those sums * k!).
     k = cone.dim
-    fact = factorial(k)
-    for sub in subcones:
-        coords = _coord_columns(cone, sub)
-        scaled_cols = []
-        for g, col in zip(sub.generators, exact.columns(coords)):
-            s = sum(cones.coefficients(cone, g), Fraction(0))
-            scaled_cols.append(exact.vscale(2 / s, col))
-        volume += abs(exact.rat_det(exact.from_columns(scaled_cols))) / fact
-    target = Fraction(cones.multiplicity(cone) * 2**k, fact)
+    mult = cones.multiplicity(cone)
+    degrees = [
+        abs(prod(sum(cones.scaled_coefficients(cone, g)) for g in sub.generators))
+        for sub in subcones
+    ]
+    common = lcm(*degrees)
+    numer = sum(abs(d) * (common // p) for (d, _), p in zip(adjugates, degrees))
+    volume = Fraction((2 * mult) ** k * numer, common * factorial(k))
+    target = Fraction(mult * 2**k, factorial(k))
     volume_ok = volume == target
     if not volume_ok:
         failures.append(f"volume {volume} differs from {target}")

@@ -1,6 +1,10 @@
 """Command-line interface: parsing, subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,28 @@ def test_decompose_command(tmp_path, capsys):
     assert doc["all_hilbert"] is True
     assert doc["oracle"]["status"] == "exact"
     assert doc["oracle"]["min_terms"] == 1
+
+
+def test_decompose_into_closed_pipe_exits_quietly(tmp_path):
+    # Like `conekit decompose ... | head -c 20`, with the reader gone before
+    # anything is written, so every write fails with EPIPE.
+    path = _write(tmp_path, CONE_DET5)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conekit", "decompose", path,
+             "--point", "2,4,6,8", "--certify-oracle"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
 
 
 def test_decompose_hilbert_only(tmp_path, capsys):

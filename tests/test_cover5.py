@@ -2,10 +2,11 @@
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
-from conekit import cones, cosets, oracle
+from conekit import cones, cosets, cover as cover_mod, exact, feasibility, oracle
 from conekit.cones import SimplicialCone
 from conekit.cover import build_cover_det5, decompose_in_cover
 from conekit.errors import MembershipError, PreconditionError
@@ -125,6 +126,94 @@ def test_cover_on_random_applicable_cone():
         assert len(terms) <= 4
 
 
+# Rational reference for the integer cover construction: the coefficient
+# vectors lambda of the eight cover elements as Fractions, unimodularity as
+# |rat_det(L)| = 1/5, and disjointness by Fourier-Motzkin on rat_inverse rows.
+_LAMS = {f"r{m + 1}": tuple(Fraction(int(j == m)) for j in range(4))
+         for m in range(4)}
+_LAMS.update({label: tuple(Fraction(x, 5) for x in scaled)
+              for label, scaled in cover_mod._Y_SCALED.items()})
+
+
+def _rational_matrix(labels):
+    return exact.from_columns([_LAMS[lbl] for lbl in labels])
+
+
+def _rational_unimodular(labels):
+    return abs(exact.rat_det(_rational_matrix(labels))) == Fraction(1, 5)
+
+
+def _rational_disjoint(a, b):
+    inv_a, inv_b = (exact.rat_inverse(_rational_matrix(c)) for c in (a, b))
+    return not feasibility.open_cones_intersect(inv_a, inv_b)
+
+
+def _rational_cover_choice(cone):
+    """Relabelling, label sets and det_coords of the cover, with Fractions."""
+    y1 = cones.enumerate_parallelepiped(cone).nonzero()[0]
+    relabel = [None] * 4
+    for i, lam in enumerate(y1.lam):
+        relabel[int(5 * lam) - 1] = i
+    fixed = list(cover_mod._GROUP_A + cover_mod._GROUP_B)
+    side_configs = []
+    for r_edge, y_edge, others in cover_mod._SIDE_GROUPS:
+        fixed.append(r_edge + y_edge)
+        fixed.extend(r_edge + (y, o) for o in others for y in y_edge
+                     if _rational_unimodular(r_edge + (y, o)))
+        tri1, tri2 = (y_edge + (o,) for o in others)
+        side_configs.append([
+            ((r_a,) + tri1, (r_b,) + tri2)
+            for r_a in r_edge
+            for r_b in r_edge
+            if _rational_unimodular((r_a,) + tri1)
+            and _rational_unimodular((r_b,) + tri2)
+        ])
+    for cfg_c in side_configs[0]:
+        for cfg_d in side_configs[1]:
+            extra = cfg_c + cfg_d
+            pairs = list(combinations(extra, 2)) + [(a, b) for a in extra for b in fixed]
+            if all(_rational_disjoint(a, b) for a, b in pairs):
+                chosen = tuple(fixed) + extra
+                dets = tuple(
+                    int(5 * exact.rat_det(_rational_matrix(c))) for c in chosen
+                )
+                return tuple(relabel), chosen, dets
+    raise AssertionError("no rational cover configuration")
+
+
+def test_cover_matches_rational_reference():
+    for seed in range(6):
+        cone = _random_applicable_cone(random.Random(seed))
+        assert _applicable(cone)
+        cover = build_cover_det5(cone)
+        relabel, chosen, dets = _rational_cover_choice(cone)
+        assert cover.relabel == relabel
+        assert tuple(s.labels for s in cover.subcones) == chosen
+        assert tuple(s.det_coords for s in cover.subcones) == dets
+
+
+def test_cover_disjointness_matches_rational_reference():
+    # Every pair of unimodular label sets, overlapping ones included, and
+    # label sets of both determinant signs: the integer adjugate rows must
+    # describe the same open cones as the rational inverses.
+    label_sets = [
+        c for c in combinations(sorted(cover_mod._SCALED), 4)
+        if cover_mod._is_unimodular(c)
+    ]
+    assert label_sets == [c for c in combinations(sorted(_LAMS), 4)
+                          if _rational_unimodular(c)]
+    assert {exact.rat_det(_rational_matrix(c)) for c in label_sets} == {
+        Fraction(1, 5), Fraction(-1, 5)
+    }
+    checker = cover_mod._DisjointnessChecker()
+    verdicts = []
+    for a, b in combinations(label_sets, 2):
+        verdict = checker.disjoint(a, b)
+        assert verdict == _rational_disjoint(a, b), (a, b)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
 def test_verify_cover_accepts_good_cover():
     cover = build_cover_det5(CONE_DET5)
     verification = oracle.verify_cover(cover, CONE_DET5)
@@ -149,3 +238,24 @@ def test_verify_cover_detects_duplicate_subcone():
     verification = oracle.verify_cover(tampered, CONE_DET5)
     assert not verification.disjoint_ok
     assert not verification.ok
+
+
+def test_verify_cover_reports_non_unimodular_subcone():
+    # Doubling a generator keeps the open cone, its degree-scaled volume and
+    # every sampled membership, but the subcone has multiplicity 2: only the
+    # unimodularity check may fail, and it must report rather than raise.
+    cover = build_cover_det5(CONE_DET5)
+    first = cover.subcones[0]
+    gens = first.cone.generators
+    doubled = SimplicialCone((tuple(2 * x for x in gens[0]),) + gens[1:])
+    assert cones.multiplicity(doubled) == 2
+    tampered = dataclasses.replace(
+        cover,
+        subcones=(dataclasses.replace(first, cone=doubled),) + cover.subcones[1:],
+    )
+    verification = oracle.verify_cover(tampered, CONE_DET5)
+    assert not verification.unimodular_ok
+    assert verification.disjoint_ok and verification.volume_ok
+    assert verification.complete_ok
+    assert not verification.ok
+    assert verification.failures == ("subcone 0 is not unimodular",)

@@ -55,6 +55,34 @@ def test_adjugate_matches_rational_inverse(m):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices)
+def test_cramer_and_scaled_inverse_match_adjugate(m):
+    n = len(m)
+    rhs = ((1,) * n, tuple(range(-1, n - 1)))
+    d = exact.det(m)
+    if d == 0:
+        assert all(exact.cramer(m, b) == (0, None) for b in rhs)
+        return
+    _, adj = exact.adjugate(m)
+    for b in rhs:
+        assert exact.cramer(m, b) == (d, exact.matvec(adj, b))
+    sign = 1 if d > 0 else -1
+    assert exact.scaled_inverse(m) == (
+        d, exact.freeze(tuple(sign * x for x in row) for row in adj)
+    )
+
+
+def test_fraction_free_kernels_reject_non_int_entries():
+    # int() would truncate 3/2 to 1 and the exact divisions would be wrong.
+    m = ((Fraction(3, 2), 0), (0, 1))
+    for kernel in (exact.det, exact.adjugate, lambda a: exact.cramer(a, (1, 1))):
+        with pytest.raises(PreconditionError):
+            kernel(m)
+    with pytest.raises(PreconditionError):
+        exact.cramer(exact.identity(2), (Fraction(1, 2), 1))
+
+
 def test_snf_examples():
     res = exact.snf(exact.identity(3))
     assert res.s == exact.identity(3)
