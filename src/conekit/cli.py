@@ -5,9 +5,11 @@ are generator columns.  Entries are JSON integers up to 2^53 - 1; larger
 values must be written as decimal strings so no precision is lost.
 
 Exit codes: 0 success, 1 standard output closed by its reader (e.g. piped
-into `head`; nothing more is written), 2 parse error, 3 membership error
-(including a point of the wrong length), 4 precondition error, 5 internal
-certificate failure, 6 search node budget exhausted.
+into `head`; nothing more is written), 2 parse error (including a cone file
+that cannot be read or is not UTF-8, and an `--out` file that cannot be
+written), 3 membership error (including a point of the wrong length), 4
+precondition error, 5 internal certificate failure, 6 search node budget
+exhausted.  Every error but exit 1 prints one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -41,10 +43,12 @@ def _parse_entry(x):
 
 def load_cone(path: str) -> SimplicialCone:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON at line {err.lineno}") from err
     if not isinstance(doc, dict) or "generators" not in doc:
@@ -194,8 +198,11 @@ def cmd_experiment(args) -> int:
     )
     csv_text = experiments.rows_to_csv(experiments.run_experiment(config))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(csv_text)
+        except OSError as err:
+            raise ParseError(f"cannot write {args.out}: {err}") from err
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -39,9 +39,11 @@ class SimplicialCone:
             raise PreconditionError("generators must have at least one entry")
         if any(len(g) != n for g in self.generators):
             raise PreconditionError("generator dimensions disagree")
-        object.__setattr__(
-            self, "generators", tuple(tuple(int(x) for x in g) for g in self.generators)
-        )
+        try:
+            gens = tuple(exact.as_int_vector(g) for g in self.generators)
+        except MembershipError as err:
+            raise PreconditionError("generator entries must be integers") from err
+        object.__setattr__(self, "generators", gens)
         gram = exact.matmul(self.generators, exact.transpose(self.generators))
         if exact.det(gram) == 0:
             raise PreconditionError("generators are linearly dependent")
@@ -92,7 +94,6 @@ class ParallelepipedSet:
 @dataclass(frozen=True)
 class HilbertBasis:
     elements: tuple  # integer vectors
-    lams: tuple  # matching coefficient vectors (Fractions)
     columns: tuple  # matching scaled coefficient vectors mult * lam (ints)
 
     def __len__(self):
@@ -176,10 +177,11 @@ def multiplicity(cone: SimplicialCone) -> int:
 def lattice_coords(cone: SimplicialCone, z: Sequence) -> tuple:
     """Integer coordinates of z in the saturation basis.
 
-    Raises MembershipError when z has the wrong length or lies outside
-    lin R cap Z^n.  Every per-point query of the module starts here.
+    Raises MembershipError when z has the wrong length, is not integral or
+    lies outside lin R cap Z^n.  Every per-point query of the module starts
+    here.
     """
-    zv = tuple(z)
+    zv = exact.as_int_vector(z)
     if len(zv) != cone.ambient_dim:
         raise MembershipError(
             f"point has {len(zv)} coordinates, the cone lives in dimension "
@@ -289,6 +291,5 @@ def hilbert_basis(cone: SimplicialCone) -> HilbertBasis:
             kept.append((vec, s))
     return HilbertBasis(
         elements=tuple(v for v, _ in kept),
-        lams=tuple(tuple(Fraction(x, mult) for x in s) for _, s in kept),
         columns=tuple(s for _, s in kept),
     )

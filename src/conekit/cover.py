@@ -11,10 +11,13 @@ contains it.
 
 The 18 subcones come in four groups: four cones using three generators, four
 using two generators and two parallelepiped points, and two symmetric side
-groups of five cones each built around a generator edge.  Within the side
-groups the assignment of generators to triangulated parallelepiped-point
-cones is fixed by searching the (at most 16) candidate configurations for
-the one whose cones are all unimodular with pairwise disjoint interiors.
+groups of five cones each built around a generator edge.  In relabelled
+coefficient coordinates the eight spanning elements are the same for every
+applicable cone, so the cover is one fixed table of label sets
+(`_LABEL_SETS`) and no search runs.  The table's certificates (each subcone
+unimodular, all 153 pairs interior-disjoint, the census and the volume
+identity) run once per process, on the first cover built; a cone's own
+cover only maps the labels to its generators and parallelepiped points.
 
 The construction computes with integers only: coefficient vectors are
 scaled by 5, unimodularity is a Bareiss determinant of the scaled matrix,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import lcm, prod
 
@@ -44,25 +47,6 @@ _Y_SCALED = {
     "y3": (3, 1, 4, 2),
     "y4": (4, 3, 2, 1),
 }
-
-_GROUP_A = (
-    ("r2", "r3", "r4", "y1"),
-    ("r1", "r2", "r4", "y2"),
-    ("r1", "r3", "r4", "y3"),
-    ("r1", "r2", "r3", "y4"),
-)
-
-_GROUP_B = (
-    ("r1", "r2", "y2", "y4"),
-    ("r1", "r3", "y3", "y4"),
-    ("r2", "r4", "y1", "y2"),
-    ("r3", "r4", "y1", "y3"),
-)
-
-_SIDE_GROUPS = (
-    (("r2", "r3"), ("y2", "y3"), ("y1", "y4")),
-    (("r1", "r4"), ("y1", "y4"), ("y2", "y3")),
-)
 
 
 @dataclass(frozen=True)
@@ -90,46 +74,85 @@ class UnimodularCover:
 _SCALED = {f"r{m + 1}": tuple(5 * (j == m) for j in range(4)) for m in range(4)}
 _SCALED.update(_Y_SCALED)
 
+# The 18 label sets of the cover: four cones on three generators, four on two
+# generators and two points, each side group's edge cone and two side cones
+# (generator edges r2,r3 and r1,r4), then the four triangulated point cones,
+# two per side group.  Of the configurations that assign an edge generator to
+# each triangulated cone, this is the first, in search order, whose cones are
+# all unimodular and pairwise interior-disjoint.  The order of the sets and
+# of the labels inside each set fixes the subcone order, the generator order
+# of each subcone and the sign of its det_coords.
+_LABEL_SETS = (
+    ("r2", "r3", "r4", "y1"),
+    ("r1", "r2", "r4", "y2"),
+    ("r1", "r3", "r4", "y3"),
+    ("r1", "r2", "r3", "y4"),
+    ("r1", "r2", "y2", "y4"),
+    ("r1", "r3", "y3", "y4"),
+    ("r2", "r4", "y1", "y2"),
+    ("r3", "r4", "y1", "y3"),
+    ("r2", "r3", "y2", "y3"),
+    ("r2", "r3", "y2", "y1"),
+    ("r2", "r3", "y3", "y4"),
+    ("r1", "r4", "y1", "y4"),
+    ("r1", "r4", "y4", "y2"),
+    ("r1", "r4", "y1", "y3"),
+    ("r3", "y2", "y3", "y1"),
+    ("r2", "y2", "y3", "y4"),
+    ("r4", "y1", "y4", "y2"),
+    ("r1", "y1", "y4", "y3"),
+)
+
+_VOLUME_TARGET = Fraction(5 * 2**4, 24)  # multiplicity * 2^4 / 4!
+
 
 def _scaled_matrix(labels) -> exact.Matrix:
     """5 L for the coefficient matrix L of the labelled elements, integer."""
     return exact.from_columns([_SCALED[lbl] for lbl in labels])
 
 
-def _is_unimodular(labels) -> bool:
-    # det(5 L) = 5^4 det L, and unimodular in the parent lattice means
-    # det L = +-1/5 (the parent has multiplicity 5).
-    return abs(exact.det(_scaled_matrix(labels))) == 125
+@cache
+def _certified_table() -> tuple:
+    """Certify `_LABEL_SETS`; return its per-set data, census and volume.
 
-
-def _side_group_configs(r_edge, y_edge, others):
-    """Candidate 5-cone layouts covering one side of the split cone.
-
-    Returns (fixed_cones, configs) where fixed_cones holds the generator-edge
-    cone and the two unimodular side cones, and configs enumerates the
-    assignments of edge generators to the two triangulated point cones.
+    The per-set data are (det_coords, generator_count) pairs in table order.
+    The label sets live in the relabelled coefficient coordinates, which are
+    the same for every applicable cone, so the certificates hold for all of
+    them and run once per process.  Each subcone is unimodular: det(5 L) =
+    5^4 det L, and unimodular in the parent lattice (multiplicity 5) means
+    det L = +-1/5.  Every pair is interior-disjoint by Fourier-Motzkin on the
+    sign-normalised adjugate rows of 5 L, positive multiples of the rows of
+    L^{-1}, so the open cone {x : L^{-1} x > 0} is the same.  The census and
+    the volume identity close the certificate.
     """
-    fixed = [r_edge + y_edge]
-    side = [
-        r_edge + (y, o)
-        for o in others
-        for y in y_edge
-        if _is_unimodular(r_edge + (y, o))
-    ]
-    if len(side) != 2:
-        raise CertificateError(
-            f"expected exactly 2 unimodular side cones, found {len(side)}"
-        )
-    fixed.extend(side)
-    tri1 = y_edge + (others[0],)
-    tri2 = y_edge + (others[1],)
-    configs = []
-    for r_a in r_edge:
-        for r_b in r_edge:
-            pair = ((r_a,) + tri1, (r_b,) + tri2)
-            if all(_is_unimodular(c) for c in pair):
-                configs.append(pair)
-    return tuple(fixed), tuple(configs)
+    dets = []
+    rows = []
+    for labels in _LABEL_SETS:
+        scaled = _scaled_matrix(labels)
+        det_scaled = exact.det(scaled)
+        if abs(det_scaled) != 125:
+            raise CertificateError(f"subcone {labels} is not unimodular")
+        dets.append(det_scaled // 125)
+        rows.append(exact.scaled_inverse(scaled)[1])
+    for (a, rows_a), (b, rows_b) in combinations(zip(_LABEL_SETS, rows), 2):
+        if feasibility.open_cones_intersect(rows_a, rows_b):
+            raise CertificateError(f"subcones {a} and {b} overlap")
+
+    counts = [sum(lbl.startswith("r") for lbl in labels) for labels in _LABEL_SETS]
+    census = tuple(counts.count(g) for g in (3, 2, 1))
+    if census != (4, 10, 4):
+        raise CertificateError(f"cover census {census} != (4, 10, 4)")
+    # Normalized volume of the simplex on the degree-scaled spanning points:
+    # generators count with coefficient sum 1, par points with 2, so column
+    # j of L is scaled by 2 / sum(L_j) = 10 / sum(5 L_j) and the simplex has
+    # normalized volume 5 |det 5L| 2^4 / (prod_j sum(5 L_j) * 4!), with
+    # |det 5L| = 125 for every subcone.
+    sums = [prod(sum(_SCALED[lbl]) for lbl in labels) for labels in _LABEL_SETS]
+    common = lcm(*sums)
+    volume = Fraction(5 * 2**4 * 125 * sum(common // p for p in sums), 24 * common)
+    if volume != _VOLUME_TARGET:
+        raise CertificateError(f"cover volume {volume} != {_VOLUME_TARGET}")
+    return tuple(zip(dets, counts)), census, volume
 
 
 def _relabel_order(cone: SimplicialCone):
@@ -173,115 +196,26 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
             raise CertificateError(f"parallelepiped point for {label} is missing")
         vectors[label] = by_scaled[scaled]
 
-    fixed_sets = list(_GROUP_A + _GROUP_B)
-    side_configs = []
-    for r_edge, y_edge, others in _SIDE_GROUPS:
-        fixed, configs = _side_group_configs(r_edge, y_edge, others)
-        fixed_sets.extend(fixed)
-        side_configs.append(configs)
-
-    for label_set in fixed_sets:
-        if not _is_unimodular(label_set):
-            raise CertificateError(f"subcone {label_set} is not unimodular")
-
-    checker = _DisjointnessChecker()
-    for a, b in combinations(fixed_sets, 2):
-        if not checker.disjoint(a, b):
-            raise CertificateError(f"subcones {a} and {b} overlap")
-
-    # The triangulated point cones pair with the edge generators in several
-    # candidate ways; keep the first assignment whose cones stay interior-
-    # disjoint from everything else.
-    chosen = None
-    for cfg_c in side_configs[0]:
-        for cfg_d in side_configs[1]:
-            extra = cfg_c + cfg_d
-            ok = all(
-                checker.disjoint(a, b) for a, b in combinations(extra, 2)
-            ) and all(
-                checker.disjoint(a, b) for a in extra for b in fixed_sets
-            )
-            if ok:
-                chosen = tuple(fixed_sets) + extra
-                break
-        if chosen is not None:
-            break
-    if chosen is None:
-        raise CertificateError("no interior-disjoint cover configuration found")
-
-    subcones = []
-    census = [0, 0, 0]
-    volumes = []  # (|det 5L|, product of the column sums of 5L) per subcone
-    for label_set in chosen:
-        sub = SimplicialCone(tuple(vectors[lbl] for lbl in label_set))
-        det_scaled = exact.det(_scaled_matrix(label_set))
-        if abs(det_scaled) != 125:
-            raise CertificateError(f"subcone {label_set} is not unimodular")
-        gen_count = sum(1 for lbl in label_set if lbl.startswith("r"))
-        census[3 - gen_count] += 1
-        volumes.append(
-            (abs(det_scaled), prod(sum(_SCALED[lbl]) for lbl in label_set))
+    table, census, volume = _certified_table()
+    subcones = tuple(
+        CoverSubcone(
+            labels=labels,
+            cone=SimplicialCone(tuple(vectors[lbl] for lbl in labels)),
+            det_coords=det_coords,
+            generator_count=gen_count,
         )
-        subcones.append(
-            CoverSubcone(
-                labels=label_set,
-                cone=sub,
-                det_coords=det_scaled // 125,
-                generator_count=gen_count,
-            )
-        )
-
-    # Normalized volume of the simplex on the degree-scaled spanning points:
-    # generators count with coefficient sum 1, par points with 2, so column
-    # j of L is scaled by 2 / sum(L_j) = 10 / sum(5 L_j) and the simplex has
-    # normalized volume 5 |det 5L| 2^4 / (prod_j sum(5 L_j) * 4!).
-    common = lcm(*(p for _, p in volumes))
-    volume = Fraction(
-        5 * 2**4 * sum(d * (common // p) for d, p in volumes), 24 * common
+        for labels, (det_coords, gen_count) in zip(_LABEL_SETS, table)
     )
-    target = Fraction(5 * 2**4, 24)
-    if volume != target:
-        raise CertificateError(f"cover volume {volume} != {target}")
-    if tuple(census) != (4, 10, 4):
-        raise CertificateError(f"cover census {tuple(census)} != (4, 10, 4)")
-    n_pairs = len(chosen) * (len(chosen) - 1) // 2
-
     return UnimodularCover(
         cone=cone,
         relabel=relabel,
         element_vectors=tuple((lbl, vectors[lbl]) for lbl in sorted(vectors)),
-        subcones=tuple(subcones),
-        census=tuple(census),
+        subcones=subcones,
+        census=census,
         volume=volume,
-        volume_target=target,
-        disjoint_pairs=n_pairs,
+        volume_target=_VOLUME_TARGET,
+        disjoint_pairs=len(_LABEL_SETS) * (len(_LABEL_SETS) - 1) // 2,
     )
-
-
-class _DisjointnessChecker:
-    """Memoized exact interior-disjointness of label-set subcones.
-
-    Each cone is given to Fourier-Motzkin by the sign-normalised adjugate
-    rows of 5 L, positive multiples of the rows of L^{-1}: the open cone
-    {x : L^{-1} x > 0} is the same.
-    """
-
-    def __init__(self):
-        self._rows = {}
-        self._results = {}
-
-    def _adjugate_rows(self, labels):
-        if labels not in self._rows:
-            self._rows[labels] = exact.scaled_inverse(_scaled_matrix(labels))[1]
-        return self._rows[labels]
-
-    def disjoint(self, a, b) -> bool:
-        key = frozenset((a, b))
-        if key not in self._results:
-            self._results[key] = not feasibility.open_cones_intersect(
-                self._adjugate_rows(a), self._adjugate_rows(b)
-            )
-        return self._results[key]
 
 
 def decompose_in_cover(cone: SimplicialCone, z):

@@ -92,7 +92,7 @@ class Decomposition:
 
 def decompose(cone: SimplicialCone, z, node_budget=None) -> Decomposition:
     """Decompose the integer point z of the cone; raises on non-membership."""
-    target = tuple(int(x) for x in z)
+    target = exact.as_int_vector(z)
     steps = []
     terms = _reduce(cone, target, steps, node_budget)
     merged = _merge(terms)

@@ -82,6 +82,9 @@ def is_integral(x) -> bool:
 
 
 def as_int_vector(v: Sequence) -> Vector:
+    v = tuple(v)
+    if all(type(x) is int for x in v):  # the common case, checked cheaply
+        return v
     if not all(is_integral(x) for x in v):
         raise MembershipError(f"vector {v} is not integral")
     return tuple(int(x) for x in v)

@@ -44,7 +44,7 @@ def min_terms(cone: SimplicialCone, z, max_terms=None, node_budget=None):
     corresponding target coordinate ratio, so the search space is finite and
     the first hit of the deepening loop is the true minimum.
     """
-    target = tuple(int(x) for x in z)
+    target = exact.as_int_vector(z)
     scaled = cones.scaled_coefficients(cone, target)
     if any(x < 0 for x in scaled):
         raise MembershipError("oracle target lies outside the cone")

@@ -151,6 +151,24 @@ def test_missing_file_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_cone_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"generators": [[1, 0], [0, 1]], "note": "\u00e9"}'.encode("latin-1"))
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert err.count("\n") == 1
+
+
+def test_experiment_unwritable_out_exit_code(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.csv")
+    args = ["experiment", "--dims", "2..2", "--max-det", "1", "--count", "1"]
+    assert cli.main(args + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_cover5_command(tmp_path, capsys):
     path = _write(tmp_path, CONE_DET5)
     assert cli.main(["cover5", path]) == 0

@@ -27,6 +27,28 @@ def test_cone_rejects_empty_generators():
         SimplicialCone(((), ()))
 
 
+def test_cone_rejects_non_integral_generators():
+    for bad in (1.9, Fraction(3, 2)):
+        with pytest.raises(PreconditionError, match="integers"):
+            SimplicialCone(((bad, 0), (1, 2)))
+    assert SimplicialCone(((Fraction(2, 2), 0), (1, 2))).generators == CONE_12.generators
+
+
+def test_non_integral_point_is_not_a_member():
+    # Full-dimensional and lower-dimensional cones take different routes to
+    # the lattice coordinates; neither may truncate a non-integral point.
+    flat = SimplicialCone(((1, 0, 0), (1, 2, 0)))
+    for cone, z in ((CONE_12, (Fraction(1, 2), 0)), (CONE_12, (2.9, 2)),
+                    (flat, (Fraction(1, 2), 0, 0)), (flat, (2.0, 0, 0))):
+        with pytest.raises(MembershipError):
+            cones.lattice_coords(cone, z)
+        with pytest.raises(MembershipError):
+            cones.scaled_coefficients(cone, z)
+        assert not cones.contains(cone, z)
+        assert not cones.contains_interior(cone, z)
+    assert cones.contains(CONE_12, (Fraction(4, 2), 2))
+
+
 def test_multiplicity_examples():
     assert cones.multiplicity(CONE_12) == 2
     assert cones.multiplicity(CONE_DET5) == 5

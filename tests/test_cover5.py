@@ -9,7 +9,7 @@ import pytest
 from conekit import cones, cosets, cover as cover_mod, exact, feasibility, oracle
 from conekit.cones import SimplicialCone
 from conekit.cover import build_cover_det5, decompose_in_cover
-from conekit.errors import MembershipError, PreconditionError
+from conekit.errors import CertificateError, MembershipError, PreconditionError
 from fractions import Fraction
 
 CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
@@ -127,12 +127,34 @@ def test_cover_on_random_applicable_cone():
 
 
 # Rational reference for the integer cover construction: the coefficient
-# vectors lambda of the eight cover elements as Fractions, unimodularity as
-# |rat_det(L)| = 1/5, and disjointness by Fourier-Motzkin on rat_inverse rows.
+# vectors lambda of the eight cover elements as Fractions (y_m is
+# m * (1,2,3,4) / 5 reduced mod 1), unimodularity as |rat_det(L)| = 1/5,
+# disjointness by Fourier-Motzkin on rat_inverse rows, and the search over
+# the side groups' configurations that fixed the library's label table.
 _LAMS = {f"r{m + 1}": tuple(Fraction(int(j == m)) for j in range(4))
          for m in range(4)}
-_LAMS.update({label: tuple(Fraction(x, 5) for x in scaled)
-              for label, scaled in cover_mod._Y_SCALED.items()})
+_LAMS.update({f"y{m}": tuple(Fraction(m * j % 5, 5) for j in (1, 2, 3, 4))
+              for m in range(1, 5)})
+
+_GROUP_A = (
+    ("r2", "r3", "r4", "y1"),
+    ("r1", "r2", "r4", "y2"),
+    ("r1", "r3", "r4", "y3"),
+    ("r1", "r2", "r3", "y4"),
+)
+
+_GROUP_B = (
+    ("r1", "r2", "y2", "y4"),
+    ("r1", "r3", "y3", "y4"),
+    ("r2", "r4", "y1", "y2"),
+    ("r3", "r4", "y1", "y3"),
+)
+
+# (generator edge, point edge, the other two points) of each side group.
+_SIDE_GROUPS = (
+    (("r2", "r3"), ("y2", "y3"), ("y1", "y4")),
+    (("r1", "r4"), ("y1", "y4"), ("y2", "y3")),
+)
 
 
 def _rational_matrix(labels):
@@ -154,9 +176,9 @@ def _rational_cover_choice(cone):
     relabel = [None] * 4
     for i, lam in enumerate(y1.lam):
         relabel[int(5 * lam) - 1] = i
-    fixed = list(cover_mod._GROUP_A + cover_mod._GROUP_B)
+    fixed = list(_GROUP_A + _GROUP_B)
     side_configs = []
-    for r_edge, y_edge, others in cover_mod._SIDE_GROUPS:
+    for r_edge, y_edge, others in _SIDE_GROUPS:
         fixed.append(r_edge + y_edge)
         fixed.extend(r_edge + (y, o) for o in others for y in y_edge
                      if _rational_unimodular(r_edge + (y, o)))
@@ -192,26 +214,75 @@ def test_cover_matches_rational_reference():
         assert tuple(s.det_coords for s in cover.subcones) == dets
 
 
+def _integer_unimodular(labels):
+    return abs(exact.det(cover_mod._scaled_matrix(labels))) == 125
+
+
+def _integer_rows(labels):
+    """Sign-normalised adjugate rows of 5L, as the cover certificate uses them."""
+    return exact.scaled_inverse(cover_mod._scaled_matrix(labels))[1]
+
+
 def test_cover_disjointness_matches_rational_reference():
     # Every pair of unimodular label sets, overlapping ones included, and
     # label sets of both determinant signs: the integer adjugate rows must
     # describe the same open cones as the rational inverses.
     label_sets = [
         c for c in combinations(sorted(cover_mod._SCALED), 4)
-        if cover_mod._is_unimodular(c)
+        if _integer_unimodular(c)
     ]
     assert label_sets == [c for c in combinations(sorted(_LAMS), 4)
                           if _rational_unimodular(c)]
     assert {exact.rat_det(_rational_matrix(c)) for c in label_sets} == {
         Fraction(1, 5), Fraction(-1, 5)
     }
-    checker = cover_mod._DisjointnessChecker()
+    rows = {c: _integer_rows(c) for c in label_sets}
     verdicts = []
     for a, b in combinations(label_sets, 2):
-        verdict = checker.disjoint(a, b)
+        verdict = not feasibility.open_cones_intersect(rows[a], rows[b])
         assert verdict == _rational_disjoint(a, b), (a, b)
         verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+def test_second_cover_runs_no_disjointness_check(monkeypatch):
+    # The label table is certified once per process: once any cover exists,
+    # building the cover of a cone never seen before runs no Fourier-Motzkin.
+    build_cover_det5.__wrapped__(CONE_DET5)
+    calls = []
+    original = feasibility.open_cones_intersect
+
+    def counting(rows_a, rows_b):
+        calls.append(1)
+        return original(rows_a, rows_b)
+
+    monkeypatch.setattr(feasibility, "open_cones_intersect", counting)
+    fresh = _random_applicable_cone(random.Random(7))
+    cover = build_cover_det5.__wrapped__(fresh)
+    assert cover.disjoint_pairs == 153 and cover.census == (4, 10, 4)
+    assert calls == []
+
+
+@pytest.fixture
+def fresh_certificate():
+    cover_mod._certified_table.cache_clear()
+    yield
+    cover_mod._certified_table.cache_clear()
+
+
+def test_certification_rejects_overlapping_label_set(monkeypatch, fresh_certificate):
+    # The other edge-generator choice for the first side group's first
+    # triangulated cone is unimodular but overlaps the edge cone.
+    table = list(cover_mod._LABEL_SETS)
+    swapped = ("r2", "y2", "y3", "y1")
+    assert table[14] == ("r3", "y2", "y3", "y1")
+    assert _integer_unimodular(swapped)
+    table[14] = swapped
+    monkeypatch.setattr(cover_mod, "_LABEL_SETS", tuple(table))
+    with pytest.raises(CertificateError, match="overlap"):
+        cover_mod._certified_table()
+    with pytest.raises(CertificateError, match="overlap"):
+        build_cover_det5.__wrapped__(CONE_DET5)
 
 
 def test_verify_cover_accepts_good_cover():

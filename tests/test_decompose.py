@@ -1,6 +1,7 @@
 """Decomposition engine: routing, traces, bounds, Hilbert reduction."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,13 @@ from conekit.special import make_skew_cone
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
 CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
+
+
+def test_decompose_rejects_non_integral_point():
+    for z in ((Fraction(5, 2), 2), (2.9, 2)):
+        with pytest.raises(MembershipError):
+            decompose(CONE_12, z)
+    assert decompose(CONE_12, (Fraction(4, 2), 2)).target == (2, 2)
 
 
 def test_decompose_zero():

@@ -1,5 +1,7 @@
 """Brute-force oracle: minimal term counts and sampled rank checks."""
 
+from fractions import Fraction
+
 import pytest
 
 from conekit import cones, exact, gen, oracle
@@ -15,6 +17,12 @@ def test_min_terms_zero():
     assert report.status == "exact"
     assert report.min_terms == 0
     assert report.witness.terms == ()
+
+
+def test_min_terms_rejects_non_integral_point():
+    for z in ((Fraction(5, 2), 2), (2.5, 2)):
+        with pytest.raises(MembershipError):
+            oracle.min_terms(CONE_12, z)
 
 
 def test_min_terms_examples():
