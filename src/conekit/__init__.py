@@ -24,7 +24,6 @@ from .decompose import (
     Decomposition,
     IcrBound,
     ReductionTrace,
-    base_case_solve,
     decompose,
     icr_upper_bound,
     reduce_to_hilbert,
@@ -47,7 +46,6 @@ from .special import (
     has_skew_normal_form,
     make_pq_cone,
     make_skew_cone,
-    pq_not_skew,
 )
 
 __all__ = [
@@ -69,7 +67,6 @@ __all__ = [
     "SkewVectorSpec",
     "UnimodularCover",
     "UnresolvedError",
-    "base_case_solve",
     "build_cover_det5",
     "check_skew_classes",
     "coefficients",
@@ -87,7 +84,6 @@ __all__ = [
     "make_skew_cone",
     "min_terms",
     "multiplicity",
-    "pq_not_skew",
     "reduce_to_hilbert",
     "replay",
     "sample_icp",

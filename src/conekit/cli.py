@@ -239,14 +239,15 @@ def cmd_special(args) -> int:
     else:  # pq
         cone = special.make_pq_cone(args.p, args.q)
         check = special.gorenstein_check(cone)
+        skew = special.has_skew_normal_form(cone)
         out = {
             "cone": dump_cone(cone),
             "multiplicity": cones.multiplicity(cone),
             "premise_holds": check.premise_holds,
             "divisor_count": check.divisor_count,
             "cyclic": check.cyclic,
-            "skew_normal_form": special.has_skew_normal_form(cone),
-            "not_skew": special.pq_not_skew(cone),
+            "skew_normal_form": skew,
+            "not_skew": not skew,
         }
     print(json.dumps(_jsonable(out), indent=2))
     return 0

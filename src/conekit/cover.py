@@ -19,12 +19,22 @@ unimodular, all 153 pairs interior-disjoint, the census and the volume
 identity) run once per process, on the first cover built; a cone's own
 cover only maps the labels to its generators and parallelepiped points.
 
+Every pair's disjointness is proved twice: by Fourier-Motzkin, and by a
+Gordan certificate, a vector y >= 0, y != 0 with y . [rows_a; rows_b] = 0,
+which no point x with rows . x > 0 can satisfy.  The cover carries the 153
+certificates so that `oracle.verify_cover` can check each pair with one
+vector-matrix product instead of enumerating vertices.  They fit every
+applicable cone: each subcone is unimodular, so its sign-normalised
+adjugate rows in parent lattice coordinates are the table rows times 1/25
+and one fixed linear map, and that map preserves y . rows = 0.
+
 The construction computes with integers only: coefficient vectors are
 scaled by 5, unimodularity is a Bareiss determinant of the scaled matrix,
-and Fourier-Motzkin receives its sign-normalised integer adjugate rows.  The
-rational `exact.rat_det`/`rat_inverse` are not used; the tests keep them as
-the reference the integer construction is compared against.  The only
-`Fraction`s built are the public `volume` and `volume_target`.
+and Fourier-Motzkin and the certificate search receive its sign-normalised
+integer adjugate rows.  The rational `exact.rat_det`/`rat_inverse` are not
+used; the tests keep them as the reference the integer construction is
+compared against.  The only `Fraction`s built are the public `volume` and
+`volume_target`.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import cones, cosets, exact, feasibility
 from .cones import SimplicialCone
@@ -67,6 +77,7 @@ class UnimodularCover:
     volume: Fraction  # total normalized volume of the subcone simplices
     volume_target: Fraction  # multiplicity * 2^4 / 4!
     disjoint_pairs: int  # number of verified interior-disjoint pairs
+    certificates: tuple  # Gordan (a, b, y) for each pair in combinations(range(18), 2)
 
 
 # Scaled coefficient vectors 5 * lambda of all eight cover elements: the
@@ -111,19 +122,51 @@ def _scaled_matrix(labels) -> exact.Matrix:
     return exact.from_columns([_SCALED[lbl] for lbl in labels])
 
 
+def _gordan_certificate(rows):
+    """Integer y >= 0, y != 0 with y . rows = 0, or None when there is none.
+
+    Such a y proves the open cone {x : rows . x > 0} empty (Gordan's
+    theorem), and a minimal one has a support of at most d + 1 rows whose
+    left kernel is one-dimensional, for d = len(rows[0]).  So the search runs
+    over the (d + 1)-row subsets, takes each one's kernel vector from its
+    signed d x d minors (Laplace expansion of a matrix with a repeated
+    column), and keeps the first with a single sign, flipped to be
+    nonnegative and divided by its gcd.  Returns only a checked y.
+    """
+    d = len(rows[0])
+    minor = cache(lambda idx: exact.det([rows[i] for i in idx]))  # shared by subsets
+    for subset in combinations(range(len(rows)), d + 1):
+        kernel = [
+            (-1) ** i * minor(subset[:i] + subset[i + 1:]) for i in range(d + 1)
+        ]
+        if all(k <= 0 for k in kernel):
+            kernel = [-k for k in kernel]
+        if not any(kernel) or any(k < 0 for k in kernel):
+            continue
+        g = gcd(*kernel)
+        y = [0] * len(rows)
+        for i, k in zip(subset, kernel):
+            y[i] = k // g
+        if any(exact.dot(y, col) for col in zip(*rows)):
+            raise CertificateError("kernel vector does not annihilate its rows")
+        return tuple(y)
+    return None
+
+
 @cache
 def _certified_table() -> tuple:
-    """Certify `_LABEL_SETS`; return its per-set data, census and volume.
+    """Certify `_LABEL_SETS`; return per-set data, certificates, census, volume.
 
     The per-set data are (det_coords, generator_count) pairs in table order.
     The label sets live in the relabelled coefficient coordinates, which are
     the same for every applicable cone, so the certificates hold for all of
     them and run once per process.  Each subcone is unimodular: det(5 L) =
     5^4 det L, and unimodular in the parent lattice (multiplicity 5) means
-    det L = +-1/5.  Every pair is interior-disjoint by Fourier-Motzkin on the
-    sign-normalised adjugate rows of 5 L, positive multiples of the rows of
-    L^{-1}, so the open cone {x : L^{-1} x > 0} is the same.  The census and
-    the volume identity close the certificate.
+    det L = +-1/5.  Every pair is interior-disjoint, proved on the
+    sign-normalised adjugate rows of 5 L (positive multiples of the rows of
+    L^{-1}, so the open cone {x : L^{-1} x > 0} is the same) twice over: by
+    Fourier-Motzkin and by a Gordan certificate, which the cover carries as
+    (a, b, y).  The census and the volume identity close the certificate.
     """
     dets = []
     rows = []
@@ -134,9 +177,15 @@ def _certified_table() -> tuple:
             raise CertificateError(f"subcone {labels} is not unimodular")
         dets.append(det_scaled // 125)
         rows.append(exact.scaled_inverse(scaled)[1])
-    for (a, rows_a), (b, rows_b) in combinations(zip(_LABEL_SETS, rows), 2):
-        if feasibility.open_cones_intersect(rows_a, rows_b):
-            raise CertificateError(f"subcones {a} and {b} overlap")
+    certificates = []
+    for a, b in combinations(range(len(_LABEL_SETS)), 2):
+        pair = f"subcones {_LABEL_SETS[a]} and {_LABEL_SETS[b]}"
+        if feasibility.open_cones_intersect(rows[a], rows[b]):
+            raise CertificateError(f"{pair} overlap")
+        y = _gordan_certificate(rows[a] + rows[b])
+        if y is None:
+            raise CertificateError(f"no disjointness certificate for {pair}")
+        certificates.append((a, b, y))
 
     counts = [sum(lbl.startswith("r") for lbl in labels) for labels in _LABEL_SETS]
     census = tuple(counts.count(g) for g in (3, 2, 1))
@@ -152,7 +201,7 @@ def _certified_table() -> tuple:
     volume = Fraction(5 * 2**4 * 125 * sum(common // p for p in sums), 24 * common)
     if volume != _VOLUME_TARGET:
         raise CertificateError(f"cover volume {volume} != {_VOLUME_TARGET}")
-    return tuple(zip(dets, counts)), census, volume
+    return tuple(zip(dets, counts)), tuple(certificates), census, volume
 
 
 def _relabel_order(cone: SimplicialCone):
@@ -196,7 +245,7 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
             raise CertificateError(f"parallelepiped point for {label} is missing")
         vectors[label] = by_scaled[scaled]
 
-    table, census, volume = _certified_table()
+    table, certificates, census, volume = _certified_table()
     subcones = tuple(
         CoverSubcone(
             labels=labels,
@@ -214,7 +263,8 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
         census=census,
         volume=volume,
         volume_target=_VOLUME_TARGET,
-        disjoint_pairs=len(_LABEL_SETS) * (len(_LABEL_SETS) - 1) // 2,
+        disjoint_pairs=len(certificates),
+        certificates=certificates,
     )
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import cones, cosets, cover, exact, search
 from .cones import SimplicialCone
-from .errors import CertificateError, MembershipError, PreconditionError
+from .errors import CertificateError, MembershipError
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +104,6 @@ def decompose(cone: SimplicialCone, z, node_budget=None) -> Decomposition:
         all_hilbert=all(v in hb for _, v in merged),
         trace=ReductionTrace(tuple(steps)),
     )
-
-
-def base_case_solve(cone: SimplicialCone, z, node_budget=None) -> Decomposition:
-    """Minimal Hilbert-basis decomposition for cones of dimension at most 3."""
-    if cone.dim > 3:
-        raise PreconditionError("base case solver requires dimension at most 3")
-    return decompose(cone, z, node_budget=node_budget)
 
 
 def replay(cone: SimplicialCone, z, trace: ReductionTrace, node_budget=None):

@@ -94,11 +94,21 @@ def as_int_vector(v: Sequence) -> Vector:
 # determinants and rational elimination
 
 
+def _int_matrix(m: list, name: str) -> list:
+    """m itself; PreconditionError when an entry is not an int.
+
+    The fraction-free kernels divide exactly only over the integers, and the
+    normal forms would otherwise truncate an entry such as 3/2 to 1.
+    """
+    if not all(map(isinstance, chain.from_iterable(m), repeat(int))):
+        raise PreconditionError(f"{name}: entries must be ints")
+    return m
+
+
 def _int_rows(a: Matrix, name: str, extra=None) -> list:
     """Rows of the square matrix a as lists, each followed by `extra`'s row.
 
-    Raises PreconditionError on a non-square matrix or a non-int entry: the
-    fraction-free kernels below divide exactly only over the integers.
+    Raises PreconditionError on a non-square matrix or a non-int entry.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -107,9 +117,7 @@ def _int_rows(a: Matrix, name: str, extra=None) -> list:
         m = [list(row) for row in a]
     else:
         m = [list(row) + list(tail) for row, tail in zip(a, extra)]
-    if not all(map(isinstance, chain.from_iterable(m), repeat(int))):
-        raise PreconditionError(f"{name}: entries must be ints")
-    return m
+    return _int_matrix(m, name)
 
 
 def det(a: Matrix) -> int:
@@ -350,10 +358,13 @@ class SnfResult:
 
 
 def snf(a: Matrix) -> SnfResult:
-    """Smith normal form with both unimodular transforms, U A V = S."""
+    """Smith normal form with both unimodular transforms, U A V = S.
+
+    Raises PreconditionError on a non-int entry.
+    """
     m_rows = len(a)
     n_cols = len(a[0]) if m_rows else 0
-    m = [[int(x) for x in row] for row in a]
+    m = _int_matrix([list(row) for row in a], "snf")
     u = [list(row) for row in identity(m_rows)]
     v = [list(row) for row in identity(n_cols)]
     t = 0
@@ -419,11 +430,12 @@ def hnf(a: Matrix):
 
     H is in row-echelon shape: pivots positive, entries above each pivot
     reduced into [0, pivot).  This is the canonical representative of the
-    orbit of `a` under left multiplication by unimodular matrices.
+    orbit of `a` under left multiplication by unimodular matrices.  Raises
+    PreconditionError on a non-int entry.
     """
     m_rows = len(a)
     n_cols = len(a[0]) if m_rows else 0
-    h = [[int(x) for x in row] for row in a]
+    h = _int_matrix([list(row) for row in a], "hnf")
     u = [list(row) for row in identity(m_rows)]
     r = 0
     for j in range(n_cols):

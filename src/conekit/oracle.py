@@ -2,10 +2,15 @@
 
 Everything here recomputes results from first principles: minimal term
 counts by complete iterative-deepening search, covering-family certificates
-by basic-solution enumeration instead of variable elimination, and sampled
-checks of the dimension bound on dilated point sets.  The routines share no
-logic with the decomposition engine beyond the Hilbert basis itself, so
-agreement between the two is meaningful evidence.
+on rows recomputed from the subcone generators, and sampled checks of the
+dimension bound on dilated point sets.  The routines share no logic with the
+decomposition engine beyond the Hilbert basis itself, so agreement between
+the two is meaningful evidence.  A cover's pairwise disjointness is
+accepted from the Gordan certificate the cover carries only when that
+vector checks out on the recomputed rows, which is a proof by itself;
+otherwise the pair is decided by complete basic-solution enumeration
+instead of variable elimination.  A certificate can therefore save work but
+never change a verdict.
 
 All of it computes with integers: the cover check solves its candidate
 vertices with the fraction-free `exact.cramer`.  The rational
@@ -156,10 +161,25 @@ class CoverVerification:
     complete_ok: bool
     volume: Fraction
     failures: tuple  # human-readable descriptions of what failed
+    fallback_pairs: int  # pairs without a valid certificate, decided by enumeration
 
 
 def _coord_columns(parent, sub) -> exact.Matrix:
     return exact.from_columns(cones.lattice_coords(parent, g) for g in sub.generators)
+
+
+def _certifies_disjoint(y, rows) -> bool:
+    """Whether y is a Gordan certificate that {x : rows . x > 0} is empty.
+
+    y must be a nonnegative, nonzero integer vector with y . rows = 0: a point
+    x with every rows . x > 0 would give 0 = (y . rows) . x > 0.
+    """
+    return (
+        len(y) == len(rows)
+        and all(isinstance(v, int) and v >= 0 for v in y)
+        and any(y)
+        and not any(exact.dot(y, col) for col in zip(*rows))
+    )
 
 
 def _basic_solution_intersect(rows_a, rows_b) -> bool:
@@ -192,12 +212,16 @@ def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification
     """Re-check a covering family without reusing its construction.
 
     Unimodularity is certified by parallelepiped enumeration (exactly one
-    lattice point), interior disjointness by basic-solution enumeration on
-    the sign-normalised integer adjugates of the subcones' coordinate
-    matrices, the volume identity by summing exact simplex volumes in the
-    parent lattice coordinates, and completeness by membership tests on
-    sampled points.  Everything is integer; the only `Fraction`s built are
-    the reported volume and the target it is compared with.
+    lattice point).  Interior disjointness is checked on the sign-normalised
+    integer adjugates of the subcones' coordinate matrices, recomputed here:
+    a pair is disjoint when the cover's certificate y for it is nonnegative,
+    nonzero and annihilates the pair's rows; for any other pair (no
+    certificate, or one that fails) basic-solution enumeration decides, and
+    `fallback_pairs` counts those pairs.  The volume identity is checked by
+    summing exact simplex volumes in the parent lattice coordinates, and
+    completeness by membership tests on sampled points.  Everything is
+    integer; the only `Fraction`s built are the reported volume and the
+    target it is compared with.
     """
     failures = []
     subcones = [s.cone for s in cover.subcones]
@@ -211,9 +235,15 @@ def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification
     # A non-unimodular subcone still has a nonsingular coordinate matrix, so
     # its adjugate rows exist and the checks below run on it as well.
     adjugates = [exact.scaled_inverse(_coord_columns(cone, sub)) for sub in subcones]
+    certificates = {(a, b): y for a, b, y in cover.certificates}
     disjoint_ok = True
+    fallback_pairs = 0
     for a, b in itertools.combinations(range(len(subcones)), 2):
-        if _basic_solution_intersect(adjugates[a][1], adjugates[b][1]):
+        rows_a, rows_b = adjugates[a][1], adjugates[b][1]
+        if _certifies_disjoint(certificates.get((a, b), ()), rows_a + rows_b):
+            continue
+        fallback_pairs += 1
+        if _basic_solution_intersect(rows_a, rows_b):
             disjoint_ok = False
             failures.append(f"subcones {a} and {b} share interior points")
 
@@ -252,4 +282,5 @@ def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification
         complete_ok=complete_ok,
         volume=volume,
         failures=tuple(failures),
+        fallback_pairs=fallback_pairs,
     )

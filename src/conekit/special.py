@@ -255,8 +255,3 @@ def has_skew_normal_form(cone: SimplicialCone) -> bool:
     units = {tuple(1 if i == j else 0 for i in range(n)) for j in range(n)}
     unit_cols = sum(1 for col in exact.columns(h) if col in units)
     return unit_cols >= n - 1
-
-
-def pq_not_skew(cone: SimplicialCone) -> bool:
-    """True when the cone's generator matrix is not skew under row operations."""
-    return not has_skew_normal_form(cone)

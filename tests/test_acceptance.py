@@ -253,7 +253,7 @@ def test_criterion_8_pq_family():
         assert cones.multiplicity(cone) == p * q
         assert check.divisor_count == 4
         assert check.cyclic
-        assert special.pq_not_skew(cone)
+        assert not special.has_skew_normal_form(cone)
         icp = oracle.sample_icp(cone, 2)
         assert icp.inconclusive == 0
         assert icp.max_min_terms <= 4

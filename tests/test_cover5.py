@@ -263,6 +263,79 @@ def test_second_cover_runs_no_disjointness_check(monkeypatch):
     assert calls == []
 
 
+def test_certificates_annihilate_the_table_rows():
+    # Each (a, b, y) is a Gordan certificate on the table's own rows: y >= 0,
+    # y != 0 and y . [rows_a; rows_b] = 0, so no x has all rows . x > 0.
+    cover = build_cover_det5(CONE_DET5)
+    pairs = list(combinations(range(18), 2))
+    assert [(a, b) for a, b, _ in cover.certificates] == pairs
+    assert cover.disjoint_pairs == len(pairs)
+    for a, b, y in cover.certificates:
+        rows = _integer_rows(cover_mod._LABEL_SETS[a]) + _integer_rows(
+            cover_mod._LABEL_SETS[b]
+        )
+        assert len(y) == 8 and all(v >= 0 for v in y) and any(y)
+        assert all(exact.dot(y, col) == 0 for col in zip(*rows)), (a, b)
+
+
+def test_certificate_search_matches_fourier_motzkin():
+    # Gordan's theorem both ways: over every pair of unimodular label sets,
+    # overlapping ones included, a certificate exists exactly when
+    # Fourier-Motzkin finds the open cones disjoint.
+    label_sets = [
+        c for c in combinations(sorted(cover_mod._SCALED), 4)
+        if _integer_unimodular(c)
+    ]
+    verdicts = set()
+    for a, b in combinations(label_sets, 2):
+        rows_a, rows_b = _integer_rows(a), _integer_rows(b)
+        y = cover_mod._gordan_certificate(rows_a + rows_b)
+        disjoint = not feasibility.open_cones_intersect(rows_a, rows_b)
+        assert (y is not None) == disjoint, (a, b)
+        verdicts.add(disjoint)
+    assert verdicts == {True, False}
+
+
+def test_verify_cover_falls_back_on_a_corrupted_certificate():
+    cover = build_cover_det5(CONE_DET5)
+    certificates = list(cover.certificates)
+    a, b, y = certificates[40]
+    certificates[40] = (a, b, (y[0] + 1,) + y[1:])
+    tampered = dataclasses.replace(cover, certificates=tuple(certificates))
+    verification = oracle.verify_cover(tampered, CONE_DET5)
+    assert verification.ok and verification.disjoint_ok
+    assert verification.fallback_pairs == 1
+    # Vectors that annihilate the rows but are no certificate (zero,
+    # nonpositive) and a short one are no proof either.
+    for bad in ((0,) * 8, tuple(-v for v in y), y[:7]):
+        certificates[40] = (a, b, bad)
+        tampered = dataclasses.replace(cover, certificates=tuple(certificates))
+        verification = oracle.verify_cover(tampered, CONE_DET5)
+        assert verification.ok and verification.fallback_pairs == 1
+
+
+def test_verify_cover_overlap_is_not_hidden_by_a_certificate():
+    # Swapping in an overlapping subcone keeps every certificate: the ones
+    # for its pairs no longer annihilate its rows, so enumeration decides.
+    cover = build_cover_det5(CONE_DET5)
+    vectors = dict(cover.element_vectors)
+    swapped = ("r2", "y2", "y3", "y1")
+    overlapping = dataclasses.replace(
+        cover.subcones[14],
+        labels=swapped,
+        cone=SimplicialCone(tuple(vectors[lbl] for lbl in swapped)),
+    )
+    subcones = cover.subcones[:14] + (overlapping,) + cover.subcones[15:]
+    tampered = dataclasses.replace(cover, subcones=subcones)
+    verification = oracle.verify_cover(tampered, CONE_DET5)
+    assert not verification.disjoint_ok and not verification.ok
+    assert verification.failures == (
+        "subcones 8 and 14 share interior points",
+        "subcones 9 and 14 share interior points",
+    )
+    assert 2 <= verification.fallback_pairs <= 17
+
+
 @pytest.fixture
 def fresh_certificate():
     cover_mod._certified_table.cache_clear()
@@ -286,11 +359,17 @@ def test_certification_rejects_overlapping_label_set(monkeypatch, fresh_certific
 
 
 def test_verify_cover_accepts_good_cover():
-    cover = build_cover_det5(CONE_DET5)
-    verification = oracle.verify_cover(cover, CONE_DET5)
-    assert verification.ok
-    assert verification.volume == Fraction(10, 3)
-    assert verification.failures == ()
+    # One table of certificates fits every applicable cone (the oracle's own
+    # rows are the table rows times 1/25 and one fixed linear map), so no
+    # pair falls back to enumeration.
+    for cone in [CONE_DET5] + [
+        _random_applicable_cone(random.Random(seed)) for seed in (41, *range(6))
+    ]:
+        verification = oracle.verify_cover(build_cover_det5(cone), cone)
+        assert verification.ok
+        assert verification.volume == Fraction(10, 3)
+        assert verification.failures == ()
+        assert verification.fallback_pairs == 0
 
 
 def test_verify_cover_detects_missing_subcone():
@@ -299,6 +378,7 @@ def test_verify_cover_detects_missing_subcone():
     verification = oracle.verify_cover(tampered, CONE_DET5)
     assert not verification.volume_ok
     assert not verification.ok
+    assert verification.disjoint_ok and verification.fallback_pairs == 0
 
 
 def test_verify_cover_detects_duplicate_subcone():
@@ -309,6 +389,8 @@ def test_verify_cover_detects_duplicate_subcone():
     verification = oracle.verify_cover(tampered, CONE_DET5)
     assert not verification.disjoint_ok
     assert not verification.ok
+    # Only the 18 pairs with the extra subcone lack a certificate.
+    assert verification.fallback_pairs == 18
 
 
 def test_verify_cover_reports_non_unimodular_subcone():
@@ -330,3 +412,8 @@ def test_verify_cover_reports_non_unimodular_subcone():
     assert verification.complete_ok
     assert not verification.ok
     assert verification.failures == ("subcone 0 is not unimodular",)
+    # Its last three rows are doubled against the first, so exactly the
+    # certificates of its pairs that weigh one of those rows fail.
+    weighing = [y for a, b, y in cover.certificates if a == 0 and any(y[1:4])]
+    assert 0 < len(weighing) < 17
+    assert verification.fallback_pairs == len(weighing)

@@ -14,13 +14,12 @@ from conekit.decompose import (
     ProjectStep,
     ReductionTrace,
     StripStep,
-    base_case_solve,
     decompose,
     icr_upper_bound,
     reduce_to_hilbert,
     replay,
 )
-from conekit.errors import CertificateError, MembershipError, PreconditionError
+from conekit.errors import CertificateError, MembershipError
 from conekit.special import make_skew_cone
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
@@ -103,13 +102,6 @@ def test_decompose_fallback_route():
     assert dec.trace.steps == (BaseStep(dim=4, method="search"),)
     assert dec.term_count() <= 2 * 4 - 2
     assert dec.vector_sum() == z
-
-
-def test_base_case_solve():
-    dec = base_case_solve(CONE_12, (3, 2))
-    assert dec.term_count() == 2
-    with pytest.raises(PreconditionError):
-        base_case_solve(CONE_DET5, (1, 2, 3, 5))
 
 
 def test_replay_roundtrip():

@@ -83,6 +83,14 @@ def test_fraction_free_kernels_reject_non_int_entries():
         exact.cramer(exact.identity(2), (Fraction(1, 2), 1))
 
 
+def test_normal_forms_reject_non_int_entries():
+    # int() would truncate 3/2 to 1, and both forms would be the identity's.
+    for m in (((Fraction(3, 2), 0), (0, 1)), ((2, 0), (0, Fraction(6))), ((1, 2.0),)):
+        for form in (exact.snf, exact.hnf):
+            with pytest.raises(PreconditionError):
+                form(m)
+
+
 def test_snf_examples():
     res = exact.snf(exact.identity(3))
     assert res.s == exact.identity(3)

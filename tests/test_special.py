@@ -138,7 +138,6 @@ def test_pq_family_premise_and_skewness():
         assert check.premise_holds
         assert check.divisor_count == 4
         assert check.cyclic
-        assert special.pq_not_skew(cone)
         assert not special.has_skew_normal_form(cone)
 
 
