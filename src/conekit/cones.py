@@ -5,9 +5,11 @@ module computes multiplicities, enumerates the integer points of the
 half-open generator parallelepiped together with their exact rational
 coefficients, derives Hilbert bases, and answers membership queries.
 
-Per-cone derived data (saturation basis, coordinate matrix and the integer
-adjugates that replace its inverses) is cached on the frozen cone value, so
-repeated queries against the same cone are cheap.  Every per-point query
+Per-cone derived data is read off one Smith normal form U R V = S of the
+generator matrix: the saturation basis, the coordinate matrix with the
+integer adjugate that replaces its inverse, the lattice coordinates of a
+point and the elementary divisors.  It is cached on the frozen cone value,
+so repeated queries against the same cone are cheap.  Every per-point query
 works on the scaled coefficients mult * lambda, which are integers for any
 integer point of lin R; a `Fraction` is built only where the API returns one.
 """
@@ -102,65 +104,38 @@ class HilbertBasis:
 
 @dataclass(frozen=True)
 class _ConeContext:
-    """Cached exact data derived from a cone."""
+    """Cached exact data read off the Smith normal form U R V = S."""
 
-    sat: exact.LatticeBasis  # basis W of lin R intersected with Z^n
-    coord: exact.Matrix  # C with W C = R, k x k integer
+    sat: exact.LatticeBasis  # basis W of lin R cap Z^n: lift, or I when k == n
+    coord: exact.Matrix  # C with W C = R: (U R)[:k], or R when k == n
     det_coord: int
     mult: int  # |det C|
     coord_adj: exact.Matrix  # integer mult * C^{-1}; not the signed adjugate
-    row_idx: tuple  # rows making W invertible
-    w_rows_adj: exact.Matrix  # integer w_rows_det * B^{-1}, B the row block
-    w_rows_det: int  # |det B|
-
-
-def _independent_rows(m: exact.Matrix, k: int) -> tuple:
-    rows = []
-    idx = []
-    for i, row in enumerate(m):
-        cand = rows + [row]
-        if exact.det(exact.matmul(cand, exact.transpose(cand))) != 0:
-            rows.append(row)
-            idx.append(i)
-            if len(rows) == k:
-                return tuple(idx)
-    raise PreconditionError("matrix does not have full column rank")
-
-
-def _solve_rows(w, row_idx, w_rows_adj, w_rows_det, z) -> tuple:
-    """The integer x with W x = z, read off the row block; raises if none."""
-    x = []
-    for v in exact.matvec(w_rows_adj, tuple(z[i] for i in row_idx)):
-        q, rem = divmod(v, w_rows_det)
-        if rem:
-            raise MembershipError("vector lies outside the linear span of the cone")
-        x.append(q)
-    x = tuple(x)
-    if exact.matvec(w, x) != z:
-        raise MembershipError("vector lies outside the linear span of the cone")
-    return x
+    u: exact.Matrix  # U; U z = (coordinates of z in lift, then zeros) on lin R
+    lift: exact.Matrix  # U^{-1}[:, :k], a basis of lin R cap Z^n
+    divisors: tuple  # diagonal of S: elementary divisors of (lin R cap Z^n) / R Z^k
 
 
 @lru_cache(maxsize=None)
 def _context(cone: SimplicialCone) -> _ConeContext:
-    w = exact.sublattice_basis(cone.matrix)
-    row_idx = _independent_rows(w.matrix, cone.dim)
-    d, w_rows_adj = exact.scaled_inverse(tuple(w.matrix[i] for i in row_idx))
-    w_rows_det = abs(d)
-    coord = exact.from_columns(
-        _solve_rows(w.matrix, row_idx, w_rows_adj, w_rows_det, g)
-        for g in cone.generators
-    )
+    r = cone.matrix
+    k, n = cone.dim, cone.ambient_dim
+    res = exact.snf(r)
+    lift = tuple(row[:k] for row in exact.int_inverse(res.u))
+    if k == n:
+        sat, coord = exact.identity(n), r
+    else:
+        sat, coord = lift, exact.matmul(res.u[:k], r)
     det_coord, coord_adj = exact.scaled_inverse(coord)
     return _ConeContext(
-        sat=w,
+        sat=exact.LatticeBasis(sat, n),
         coord=coord,
         det_coord=det_coord,
         mult=abs(det_coord),
         coord_adj=coord_adj,
-        row_idx=row_idx,
-        w_rows_adj=w_rows_adj,
-        w_rows_det=w_rows_det,
+        u=res.u,
+        lift=lift,
+        divisors=res.divisors,
     )
 
 
@@ -187,10 +162,13 @@ def lattice_coords(cone: SimplicialCone, z: Sequence) -> tuple:
             f"point has {len(zv)} coordinates, the cone lives in dimension "
             f"{cone.ambient_dim}"
         )
-    if cone.dim == len(zv):
+    k = cone.dim
+    if k == len(zv):
         return zv  # full-dimensional: the saturation basis is the identity
-    ctx = _context(cone)
-    return _solve_rows(ctx.sat.matrix, ctx.row_idx, ctx.w_rows_adj, ctx.w_rows_det, zv)
+    uz = exact.matvec(_context(cone).u, zv)
+    if any(uz[k:]):
+        raise MembershipError("vector lies outside the linear span of the cone")
+    return uz[:k]
 
 
 def scaled_coefficients(cone: SimplicialCone, z: Sequence) -> tuple:
@@ -229,23 +207,20 @@ def contains_interior(cone: SimplicialCone, z: Sequence) -> bool:
 def enumerate_parallelepiped(cone: SimplicialCone) -> ParallelepipedSet:
     """All integer points of par(R), each with exact coefficients in [0, 1)^k.
 
-    Coset representatives of (lin R cap Z^n) / R Z^k are read off the Smith
-    normal form of the coordinate matrix and reduced coefficient-wise mod 1.
+    The points lift * y, y in the box of the Smith divisors, represent every
+    coset of (lin R cap Z^n) / R Z^k once; each is reduced coefficient-wise
+    mod 1 into par(R).
     """
     ctx = _context(cone)
     mult = ctx.mult
-    res = exact.snf(ctx.coord)
-    k = cone.dim
-    divisors = [res.s[i][i] for i in range(k)]
-    u_inv = exact.int_inverse(res.u)
+    r = cone.matrix
     points = []
-    for y in itertools.product(*(range(d) for d in divisors)):
-        x = exact.matvec(u_inv, y)
-        s = exact.matvec(ctx.coord_adj, x)
+    for y in itertools.product(*(range(d) for d in ctx.divisors)):
+        z = exact.matvec(ctx.lift, y)
+        s = scaled_coefficients(cone, z)
         floors = tuple(v // mult for v in s)
         frac = tuple(v % mult for v in s)
-        mu = exact.vsub(x, exact.matvec(ctx.coord, floors))
-        vec = exact.matvec(ctx.sat.matrix, mu)
+        vec = exact.vsub(z, exact.matvec(r, floors))
         points.append(ParPoint(vec, tuple(Fraction(v, mult) for v in frac), frac))
     points.sort(key=lambda p: p.scaled)
     assert len(points) == mult

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import cones, exact
+from . import cones
 from .cones import SimplicialCone
 
 
@@ -41,7 +41,7 @@ def coset_profile(cone: SimplicialCone) -> CosetProfile:
         (i, j) for i in range(k) for j in range(i + 1, k) if labels[i] == labels[j]
     )
     nontrivial = len({label for label in labels if any(label)})
-    divisors = exact.snf(ctx.coord).divisors
+    divisors = ctx.divisors
     cyclic = sum(1 for d in divisors if d > 1) <= 1
     return CosetProfile(
         integral_flags=integral_flags,

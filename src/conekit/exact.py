@@ -6,12 +6,12 @@ immutable values, so results can be cached and shared freely.
 
 Provided here: fraction-free (Bareiss) determinants, adjugates, sign-
 normalised adjugates and Cramer solutions, Smith and Hermite normal forms
-with their unimodular transforms, saturation of column lattices, and the
-integer projection of a lattice along one of its primitive vectors.  The
-fraction-free kernels accept int entries only.  Nothing in the library
-computes with the rational `rat_det`, `rat_inverse`, `solve` and
-`dual_basis`: they are the references the integer layer is tested against,
-and `perfbench` times `rat_det`/`rat_inverse` as rational-elimination probes.
+with their unimodular transforms, and the integer projection of a lattice
+along one of its primitive vectors.  The fraction-free kernels accept int
+entries only.  Nothing in the library computes with the rational `rat_det`,
+`rat_inverse`, `solve` and `dual_basis`: they are the references the
+integer layer is tested against, and `perfbench` times `rat_det`/
+`rat_inverse` as rational-elimination probes.
 """
 
 from __future__ import annotations
@@ -479,10 +479,6 @@ class LatticeBasis:
     matrix: Matrix
     ambient_dim: int
 
-    @property
-    def rank(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
 
 def dual_basis(r: Matrix) -> Matrix:
     """Dual vectors of the columns of r (full column rank required).
@@ -501,21 +497,6 @@ def dual_basis(r: Matrix) -> Matrix:
     if rat_det(gram) == 0:
         raise PreconditionError("dual_basis: columns are linearly dependent")
     return matmul(r, rat_inverse(gram))
-
-
-def sublattice_basis(r: Matrix) -> LatticeBasis:
-    """Integer basis of lin(r) intersected with Z^n (saturation of the columns)."""
-    n = len(r)
-    k = len(r[0]) if n else 0
-    result = snf(r)
-    rank = len(result.divisors)
-    if rank != k:
-        raise PreconditionError("sublattice_basis: columns are linearly dependent")
-    if k == n:
-        return LatticeBasis(identity(n), n)
-    u_inv = int_inverse(result.u)
-    basis = freeze(tuple(row[j] for j in range(k)) for row in u_inv)
-    return LatticeBasis(basis, n)
 
 
 @dataclass(frozen=True)

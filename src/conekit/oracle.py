@@ -211,30 +211,30 @@ def _basic_solution_intersect(rows_a, rows_b) -> bool:
 def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification:
     """Re-check a covering family without reusing its construction.
 
-    Unimodularity is certified by parallelepiped enumeration (exactly one
-    lattice point).  Interior disjointness is checked on the sign-normalised
-    integer adjugates of the subcones' coordinate matrices, recomputed here:
-    a pair is disjoint when the cover's certificate y for it is nonnegative,
-    nonzero and annihilates the pair's rows; for any other pair (no
-    certificate, or one that fails) basic-solution enumeration decides, and
-    `fallback_pairs` counts those pairs.  The volume identity is checked by
-    summing exact simplex volumes in the parent lattice coordinates, and
-    completeness by membership tests on sampled points.  Everything is
-    integer; the only `Fraction`s built are the reported volume and the
-    target it is compared with.
+    Each subcone's coordinate matrix in the parent lattice is recomputed
+    here, and the subcone is unimodular iff its determinant is +-1.
+    Interior disjointness is checked on the sign-normalised integer
+    adjugates of those matrices: a pair is disjoint when the cover's
+    certificate y for it is nonnegative, nonzero and annihilates the pair's
+    rows; for any other pair (no certificate, or one that fails)
+    basic-solution enumeration decides, and `fallback_pairs` counts those
+    pairs.  The volume identity is checked by summing exact simplex volumes
+    in the parent lattice coordinates, and completeness by membership tests
+    on sampled points.  Everything is integer; the only `Fraction`s built
+    are the reported volume and the target it is compared with.
     """
     failures = []
     subcones = [s.cone for s in cover.subcones]
 
-    unimodular_ok = True
-    for idx, sub in enumerate(subcones):
-        if len(cones.enumerate_parallelepiped(sub)) != 1:
-            unimodular_ok = False
-            failures.append(f"subcone {idx} is not unimodular")
-
     # A non-unimodular subcone still has a nonsingular coordinate matrix, so
     # its adjugate rows exist and the checks below run on it as well.
     adjugates = [exact.scaled_inverse(_coord_columns(cone, sub)) for sub in subcones]
+    unimodular_ok = True
+    for idx, (d, _) in enumerate(adjugates):
+        if abs(d) != 1:
+            unimodular_ok = False
+            failures.append(f"subcone {idx} is not unimodular")
+
     certificates = {(a, b): y for a, b, y in cover.certificates}
     disjoint_ok = True
     fallback_pairs = 0

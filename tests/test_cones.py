@@ -65,6 +65,44 @@ def test_multiplicity_lower_dimensional():
     assert par.vectors() == ((0, 0), (1, 1))
 
 
+def test_saturation_basis_examples():
+    e3 = SimplicialCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert cones.saturation_basis(e3).matrix == exact.identity(3)
+    lat = cones.saturation_basis(SimplicialCone(((2, 2),)))
+    assert exact.columns(lat.matrix) in (((1, 1),), ((-1, -1),))
+    assert lat.ambient_dim == 2
+    assert cones.saturation_basis(CONE_12).matrix == exact.identity(2)
+
+
+def test_context_reads_one_snf_per_cone(monkeypatch):
+    # Every per-cone quantity comes from the one Smith normal form of the
+    # generator matrix that the context computes.  The cones are used by no
+    # other test, so no cached context hides a call.
+    calls = []
+    snf = exact.snf
+
+    def counting_snf(a):
+        calls.append(a)
+        return snf(a)
+
+    monkeypatch.setattr(exact, "snf", counting_snf)
+    full = SimplicialCone(((1, 4, 1), (5, 9, 2), (6, 5, 3)))
+    flat = SimplicialCone(((3, 1, 4, 1), (5, 9, 2, 7)))
+    for cone in (full, flat):
+        calls.clear()
+        assert cones.multiplicity(cone) > 1
+        for g in cone.generators:
+            cones.lattice_coords(cone, exact.vscale(2, g))
+        par = cones.enumerate_parallelepiped(cone)
+        assert len(par) == cones.multiplicity(cone)
+        cones.hilbert_basis(cone)
+        cosets.coset_profile(cone)
+        assert calls == [cone.matrix]
+    with pytest.raises(MembershipError):
+        cones.lattice_coords(flat, (0, 0, 0, 1))
+    assert len(calls) == 1
+
+
 def test_parallelepiped_examples():
     par = cones.enumerate_parallelepiped(CONE_12)
     assert par.vectors() == ((0, 0), (1, 1))
@@ -197,9 +235,9 @@ def _guard_points(cone, rng):
 
 def test_scaled_coefficients_sign_and_shape_guard():
     # The integer layer scales by mult = |det C|, not by the signed det C,
-    # and reads coordinates off a row block when the cone is not
-    # full-dimensional; both cases must occur here and agree with a plain
-    # rational solve.
+    # and reads coordinates off the rows of the Smith transform U when the
+    # cone is not full-dimensional; both cases must occur here and agree
+    # with a plain rational solve.
     rng = random.Random(17)
     negative = lower_dim = 0
     for cone in _guard_cones():
@@ -208,6 +246,9 @@ def test_scaled_coefficients_sign_and_shape_guard():
         lower_dim += cone.dim < cone.ambient_dim
         mult = cones.multiplicity(cone)
         assert mult == abs(ctx.det_coord)
+        scaled = [p.scaled for p in cones.enumerate_parallelepiped(cone).points]
+        assert all(0 <= x < mult for s in scaled for x in s)
+        assert len(set(scaled)) == len(scaled)
         for z in _guard_points(cone, rng):
             lam = exact.solve(cone.matrix, z)
             assert cones.scaled_coefficients(cone, z) == tuple(mult * x for x in lam)
@@ -228,14 +269,19 @@ def test_scaled_coefficients_sign_and_shape_guard():
 
 def test_class_reps_match_rational_duals_guard():
     # Coset labels read off the integer context equal the pairings of the
-    # rational dual basis with the saturation basis, reduced mod 1.
+    # rational dual basis with the saturation basis, reduced mod 1, and the
+    # elementary divisors read off the generator matrix's Smith form equal
+    # those of the coordinate matrix.
     for cone in _guard_cones():
         wt = exact.transpose(cones.saturation_basis(cone).matrix)
         expected = tuple(
             tuple(x - floor(x) for x in exact.matvec(wt, dual))
             for dual in exact.columns(exact.dual_basis(cone.matrix))
         )
-        assert cosets.coset_profile(cone).class_reps == expected
+        profile = cosets.coset_profile(cone)
+        assert profile.class_reps == expected
+        coord = cones._context(cone).coord
+        assert profile.elementary_divisors == exact.snf(coord).divisors
 
 
 def _orth_project(v, r):

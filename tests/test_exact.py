@@ -177,15 +177,6 @@ def _same_lattice(a_cols, b_cols):
     return True
 
 
-def test_sublattice_basis_examples():
-    lat = exact.sublattice_basis(exact.identity(3))
-    assert lat.matrix == exact.identity(3)
-    lat = exact.sublattice_basis(exact.from_columns(((2, 2),)))
-    assert _same_lattice(exact.columns(lat.matrix), ((1, 1),))
-    lat = exact.sublattice_basis(exact.from_columns(((1, 0), (1, 2))))
-    assert lat.matrix == exact.identity(2)
-
-
 def _orth_project(v, r):
     """Rational orthogonal projection of v onto the complement of r."""
     factor = Fraction(exact.dot(v, r), exact.dot(r, r))
