@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import cones, cosets, cover, experiments, oracle, special
 from .cones import SimplicialCone
@@ -80,18 +79,6 @@ def _parse_point(text: str) -> tuple:
         raise ParseError(f"invalid point {text!r}") from err
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return value
-
-
 def _trace_json(trace):
     steps = []
     for step in trace.steps:
@@ -147,7 +134,7 @@ def cmd_decompose(args) -> int:
             "min_terms": report.min_terms,
             "nodes": report.nodes,
         }
-    print(json.dumps(_jsonable(out), indent=2))
+    print(json.dumps(out, indent=2))
     return 0
 
 
@@ -172,7 +159,7 @@ def cmd_cover5(args) -> int:
         "verified": verification.ok,
         "verification_failures": list(verification.failures),
     }
-    print(json.dumps(_jsonable(out), indent=2))
+    print(json.dumps(out, indent=2))
     return 0 if verification.ok else 5
 
 
@@ -249,7 +236,7 @@ def cmd_special(args) -> int:
             "skew_normal_form": skew,
             "not_skew": not skew,
         }
-    print(json.dumps(_jsonable(out), indent=2))
+    print(json.dumps(out, indent=2))
     return 0
 
 
@@ -266,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-budget",
         type=int,
         default=None,
-        help="search node budget (default 10^7, or CONEKIT_NODE_BUDGET)",
+        help="search node budget (default 10^7)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

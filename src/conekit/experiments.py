@@ -3,25 +3,20 @@
 Each experiment cell is (dimension, determinant); for every random cone in a
 cell the engine decomposes all points of the dilated sample and the oracle
 independently recomputes the minimal term counts.  Rows are emitted in cell
-order, so a fixed configuration always produces byte-identical CSV.
-
-Wall-clock timing is intentionally off by default (elapsed_ms stays 0) to
-keep the output reproducible; set CONEKIT_TIMING=1 to record real timings.
+order, so a fixed configuration always produces byte-identical CSV.  The
+`elapsed_ms` column is kept for the CSV layout and is always 0: no
+wall-clock time enters the output.
 """
 
 from __future__ import annotations
 
 import io
-import os
-import time
 from dataclasses import dataclass
 
 from . import cosets, gen, oracle
 from .decompose import decompose, icr_upper_bound, reduce_to_hilbert
 
 CSV_HEADER = "dim,det,cosets,engine_max,oracle_max,bound,method,seed,elapsed_ms"
-
-_TIMING_ENV = "CONEKIT_TIMING"
 
 
 @dataclass(frozen=True)
@@ -46,19 +41,16 @@ class ExperimentRow:
     bound: int
     method: str
     seed: object
-    elapsed_ms: int
 
     def as_csv(self) -> str:
         return (
             f"{self.dim},{self.det},{self.cosets},{self.engine_max},"
-            f"{self.oracle_max},{self.bound},{self.method},{self.seed},"
-            f"{self.elapsed_ms}"
+            f"{self.oracle_max},{self.bound},{self.method},{self.seed},0"
         )
 
 
 def run_cone(cone, dilation: int, seed, dim: int, det: int, node_budget=None):
     """One experiment row: engine and oracle maxima over the dilated sample."""
-    start = time.monotonic()
     profile = cosets.coset_profile(cone)
     bound = icr_upper_bound(cone)
     engine_max = 0
@@ -68,9 +60,6 @@ def run_cone(cone, dilation: int, seed, dim: int, det: int, node_budget=None):
             dec = reduce_to_hilbert(cone, dec, node_budget=node_budget)
         engine_max = max(engine_max, dec.term_count())
     icp = oracle.sample_icp(cone, dilation, node_budget=node_budget)
-    elapsed = 0
-    if os.environ.get(_TIMING_ENV) == "1":
-        elapsed = int((time.monotonic() - start) * 1000)
     return ExperimentRow(
         dim=dim,
         det=det,
@@ -80,7 +69,6 @@ def run_cone(cone, dilation: int, seed, dim: int, det: int, node_budget=None):
         bound=bound.value,
         method=bound.method,
         seed=seed,
-        elapsed_ms=elapsed,
     )
 
 

@@ -2,9 +2,9 @@
 
 Cones are produced as upper-triangular matrices in Hermite-style shape: the
 diagonal is a random factorization of the requested determinant, entries
-above each pivot are reduced modulo it, and an optional bounded unimodular
-mix hides the triangular structure without changing the lattice data.  The
-generator stream is a pure function of (seed, dim, det, index).
+above each pivot are reduced modulo it, and 2 * dim random shears hide the
+triangular structure without changing the lattice data.  The generator
+stream is a pure function of (seed, dim, det, index).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _factor(m: int):
     return factors
 
 
-def random_cone(dim: int, det: int, rng: random.Random, mix_steps: int = None):
+def random_cone(dim: int, det: int, rng: random.Random):
     """Random full-dimensional cone in Z^dim with multiplicity exactly det."""
     if dim < 1 or det < 1:
         raise PreconditionError("dimension and determinant must be positive")
@@ -41,10 +41,8 @@ def random_cone(dim: int, det: int, rng: random.Random, mix_steps: int = None):
         rows[j][j] = diag[j]
         for i in range(j):
             rows[i][j] = rng.randrange(diag[j])
-    if mix_steps is None:
-        mix_steps = 2 * dim
     # Shear row operations only: determinant and lattice index are preserved.
-    for _ in range(mix_steps):
+    for _ in range(2 * dim):
         i = rng.randrange(dim)
         j = rng.randrange(dim)
         if i == j:
@@ -57,10 +55,3 @@ def random_cone(dim: int, det: int, rng: random.Random, mix_steps: int = None):
 def seeded_rng(seed, dim: int, det: int, index: int) -> random.Random:
     """Independent deterministic stream per experiment cell entry."""
     return random.Random(f"{seed}:{dim}:{det}:{index}")
-
-
-def random_cones(seed, dim: int, det: int, count: int, mix_steps=None):
-    return tuple(
-        random_cone(dim, det, seeded_rng(seed, dim, det, i), mix_steps)
-        for i in range(count)
-    )

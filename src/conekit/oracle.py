@@ -1,8 +1,8 @@
 """Independent brute-force verification of decomposition claims.
 
 Everything here recomputes results from first principles: minimal term
-counts by complete iterative-deepening search, covering-family certificates
-on rows recomputed from the subcone generators, and sampled checks of the
+counts by complete iterative-deepening search, covering-family proofs on
+rows recomputed from the subcone generators, and sampled checks of the
 dimension bound on dilated point sets.  The routines share no logic with the
 decomposition engine beyond the Hilbert basis itself, so agreement between
 the two is meaningful evidence.  A cover's pairwise disjointness is
@@ -10,7 +10,9 @@ accepted from the Gordan certificate the cover carries only when that
 vector checks out on the recomputed rows, which is a proof by itself;
 otherwise the pair is decided by complete basic-solution enumeration
 instead of variable elimination.  A certificate can therefore save work but
-never change a verdict.
+never change a verdict.  Completeness of a cover is proved, not sampled:
+subcones inside the cone with disjoint interiors whose volumes add up to the
+cone's fill it.
 
 All of it computes with integers: the cover check solves its candidate
 vertices with the fraction-free `exact.cramer`.  The rational
@@ -28,7 +30,7 @@ from math import factorial, lcm, prod
 from . import cones, exact, search
 from .cones import SimplicialCone
 from .decompose import Decomposition, ReductionTrace
-from .errors import MembershipError, UnresolvedError
+from .errors import CertificateError, MembershipError, UnresolvedError
 
 
 @dataclass(frozen=True)
@@ -41,20 +43,23 @@ class OracleReport:
     status: str  # "exact" or "inconclusive"
 
 
-def min_terms(cone: SimplicialCone, z, max_terms=None, node_budget=None):
+def min_terms(cone: SimplicialCone, z, node_budget=None):
     """Exact minimal number of Hilbert basis elements summing to z.
 
     Complete within the coefficient bounds: for each basis element the
     coefficient never exceeds min over its positive coordinates of the
     corresponding target coordinate ratio, so the search space is finite and
-    the first hit of the deepening loop is the true minimum.
+    the first hit of the deepening loop is the true minimum.  The report is
+    `inconclusive` only when the node budget runs out; a search that ends
+    without a hit raises CertificateError, since every cone point is a sum
+    of at most basis-size Hilbert basis elements.
     """
     target = exact.as_int_vector(z)
     scaled = cones.scaled_coefficients(cone, target)
     if any(x < 0 for x in scaled):
         raise MembershipError("oracle target lies outside the cone")
     hb = cones.hilbert_basis(cone)
-    bound = max_terms if max_terms is not None else len(hb)
+    bound = len(hb)
     try:
         found, nodes = search.find_combination(
             hb.columns, scaled, bound, node_budget
@@ -69,15 +74,9 @@ def min_terms(cone: SimplicialCone, z, max_terms=None, node_budget=None):
             status="inconclusive",
         )
     if found is None:
-        # Every point is a Hilbert combination, so with bound = basis size
-        # this cannot happen; smaller explicit bounds may legitimately miss.
-        return OracleReport(
-            target=target,
-            min_terms=None,
-            witness=None,
-            nodes=nodes,
-            bound=bound,
-            status="inconclusive",
+        raise CertificateError(
+            f"no combination of at most {bound} Hilbert basis elements sums "
+            f"to {target}"
         )
     terms = tuple(sorted(((c, hb.elements[i]) for c, i in found),
                          key=lambda t: t[1]))
@@ -158,8 +157,8 @@ class CoverVerification:
     unimodular_ok: bool
     disjoint_ok: bool
     volume_ok: bool
-    complete_ok: bool
-    volume: Fraction
+    complete_ok: bool  # proved: inside the cone, disjoint, volume identity
+    volume: object  # Fraction, or None when a subcone leaves the cone
     failures: tuple  # human-readable descriptions of what failed
     fallback_pairs: int  # pairs without a valid certificate, decided by enumeration
 
@@ -208,7 +207,7 @@ def _basic_solution_intersect(rows_a, rows_b) -> bool:
     return False
 
 
-def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification:
+def verify_cover(cover, cone: SimplicialCone) -> CoverVerification:
     """Re-check a covering family without reusing its construction.
 
     Each subcone's coordinate matrix in the parent lattice is recomputed
@@ -218,10 +217,17 @@ def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification
     certificate y for it is nonnegative, nonzero and annihilates the pair's
     rows; for any other pair (no certificate, or one that fails)
     basic-solution enumeration decides, and `fallback_pairs` counts those
-    pairs.  The volume identity is checked by summing exact simplex volumes
-    in the parent lattice coordinates, and completeness by membership tests
-    on sampled points.  Everything is integer; the only `Fraction`s built
-    are the reported volume and the target it is compared with.
+    pairs.  Containment is checked on the scaled coefficients of every
+    subcone generator in the parent.  The volume identity sums exact volumes
+    of the subcones cut at coefficient sum 2 in the parent lattice
+    coordinates; it is only defined once every subcone lies in the cone.
+
+    Together these prove completeness: the cut subcones are closed
+    simplices inside the cut cone with disjoint interiors, so when their
+    volumes add up to the cut cone's, the points they miss form an open set
+    of measure zero, which is empty, and by homogeneity the subcones cover
+    the cone.  Everything is integer; the only `Fraction`s built are the
+    reported volume and the target it is compared with.
     """
     failures = []
     subcones = [s.cone for s in cover.subcones]
@@ -247,33 +253,36 @@ def verify_cover(cover, cone: SimplicialCone, samples=None) -> CoverVerification
             disjoint_ok = False
             failures.append(f"subcones {a} and {b} share interior points")
 
-    # Simplex on the degree-scaled spanning points: column g is scaled by
-    # 2 / (coefficient sum of g) = 2 * mult / sum(scaled coefficients of g),
-    # so its volume is |det| * (2 mult)^k / (prod of those sums * k!).
-    k = cone.dim
-    mult = cones.multiplicity(cone)
-    degrees = [
-        abs(prod(sum(cones.scaled_coefficients(cone, g)) for g in sub.generators))
+    scaled = [
+        [cones.scaled_coefficients(cone, g) for g in sub.generators]
         for sub in subcones
     ]
-    common = lcm(*degrees)
-    numer = sum(abs(d) * (common // p) for (d, _), p in zip(adjugates, degrees))
-    volume = Fraction((2 * mult) ** k * numer, common * factorial(k))
-    target = Fraction(mult * 2**k, factorial(k))
-    volume_ok = volume == target
-    if not volume_ok:
-        failures.append(f"volume {volume} differs from {target}")
+    contained = True
+    for idx, coeffs in enumerate(scaled):
+        if any(x < 0 for s in coeffs for x in s):
+            contained = False
+            failures.append(f"subcone {idx} leaves the cone")
 
-    if samples is None:
-        samples = dilated_sample(cone, 2)
-    complete_ok = True
-    for z in samples:
-        if not any(cones.contains(sub, z) for sub in subcones):
-            complete_ok = False
-            failures.append(f"sampled point {z} is in no subcone")
-            break
+    volume = None
+    volume_ok = False
+    if contained:
+        # Simplex on the degree-scaled spanning points: column g is scaled
+        # by 2 / (coefficient sum of g) = 2 * mult / sum(scaled coefficients
+        # of g), positive for a nonzero g inside the cone, so its volume is
+        # |det| * (2 mult)^k / (prod of those sums * k!).
+        k = cone.dim
+        mult = cones.multiplicity(cone)
+        degrees = [prod(sum(s) for s in coeffs) for coeffs in scaled]
+        common = lcm(*degrees)
+        numer = sum(abs(d) * (common // p) for (d, _), p in zip(adjugates, degrees))
+        volume = Fraction((2 * mult) ** k * numer, common * factorial(k))
+        target = Fraction(mult * 2**k, factorial(k))
+        volume_ok = volume == target
+        if not volume_ok:
+            failures.append(f"volume {volume} differs from {target}")
 
-    ok = unimodular_ok and disjoint_ok and volume_ok and complete_ok
+    complete_ok = contained and disjoint_ok and volume_ok
+    ok = unimodular_ok and complete_ok
     return CoverVerification(
         ok=ok,
         unimodular_ok=unimodular_ok,

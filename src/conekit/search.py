@@ -9,17 +9,9 @@ the first hit minimal and every run reproducible.
 
 from __future__ import annotations
 
-import os
-
 from .errors import UnresolvedError
 
 DEFAULT_NODE_BUDGET = 10**7
-_BUDGET_ENV = "CONEKIT_NODE_BUDGET"
-
-
-def node_budget_default() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_NODE_BUDGET
 
 
 class _Counter:
@@ -46,8 +38,7 @@ def find_combination(columns, target, max_terms, node_budget=None):
     most `max_terms`, or (None, nodes) when no such combination exists.
     Raises UnresolvedError when the node budget runs out first.
     """
-    budget = node_budget if node_budget is not None else node_budget_default()
-    counter = _Counter(budget)
+    counter = _Counter(node_budget if node_budget is not None else DEFAULT_NODE_BUDGET)
     target = tuple(target)
     if all(x == 0 for x in target):
         return (), counter.nodes

@@ -7,7 +7,8 @@ Three families with known decomposition behaviour:
     entries of r directly, so the few-coset bound can be checked against
     explicit arithmetic.
   * Gorenstein-type cones: full-dimensional cones whose minimal interior
-    lattice point y shifts the cone lattice onto the interior lattice.
+    lattice point y shifts the cone lattice onto the interior lattice; the
+    shift is proved from the coefficients of y, not sampled.
   * the p,q family: 4-dimensional cones of multiplicity p*q built from two
     distinct primes, which satisfy the Gorenstein premise yet are not
     equivalent (with this generator order) to any skew cone.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import cones, cosets, exact, oracle
+from . import cones, cosets, exact
 from .cones import SimplicialCone
 from .errors import PreconditionError
 
@@ -129,7 +130,7 @@ class GorensteinCheck:
     y: tuple  # R lam, exact rationals (integers when integral)
     y_integral: bool
     y_interior: bool
-    covering_sampled: bool  # z - y in the cone for all sampled interior z
+    covering_sampled: bool  # z - y in the cone for every interior lattice z
     premise_holds: bool
     divisor_count: int  # divisors of the multiplicity
     cyclic: bool
@@ -153,9 +154,15 @@ def gorenstein_check(cone: SimplicialCone) -> GorensteinCheck:
     vectors; minimizing over that finite set is equivalent to minimizing
     over all nonnegative lattice coefficient vectors, since reducing a
     vector coordinate-wise mod 1 stays in the lattice and never increases a
-    nonzero coordinate.  The covering property of y = R lambda is checked on
-    the interior points of the 2-dilated parallelepiped (a sample, not a
-    proof).
+    nonzero coordinate.
+
+    The covering property of y = R lambda (z - y in the cone for every
+    interior lattice point z) holds exactly when y is integral.  Let p be
+    the parallelepiped point of z's coset.  Where lambda_k(p) > 0,
+    lambda_k(z) >= lambda_k(p) >= lambda_k; elsewhere lambda_k(z) is a
+    positive integer, and lambda_k <= 1 because e_k is a candidate.  So z - y
+    has nonnegative coefficients, and it is a lattice point when y is.
+    `covering_sampled` keeps its name for the JSON output of `special`.
     """
     n = cone.dim
     if cone.ambient_dim != n:
@@ -173,15 +180,6 @@ def gorenstein_check(cone: SimplicialCone) -> GorensteinCheck:
     y = exact.matvec(cone.matrix, lam)
     y_integral = all(exact.is_integral(x) for x in y)
     y_interior = all(x > 0 for x in lam)
-    covering = y_integral
-    if y_integral:
-        yv = exact.as_int_vector(y)
-        for z in oracle.dilated_sample(cone, 2):
-            if not cones.contains_interior(cone, z):
-                continue
-            if not cones.contains(cone, exact.vsub(z, yv)):
-                covering = False
-                break
     mult = cones.multiplicity(cone)
     profile = cosets.coset_profile(cone)
     return GorensteinCheck(
@@ -189,8 +187,8 @@ def gorenstein_check(cone: SimplicialCone) -> GorensteinCheck:
         y=tuple(y),
         y_integral=y_integral,
         y_interior=y_interior,
-        covering_sampled=covering,
-        premise_holds=y_integral and y_interior and covering,
+        covering_sampled=y_integral,
+        premise_holds=y_integral and y_interior,
         divisor_count=_divisor_count(mult),
         cyclic=profile.cyclic,
     )

@@ -207,6 +207,30 @@ def test_experiment_deterministic(tmp_path, capsys):
     assert all(line.endswith(",0") for line in lines[1:])  # timing off
 
 
+def test_experiment_ignores_environment(tmp_path):
+    # No environment variable reaches the sweep: neither a timing switch
+    # nor a node budget may change the CSV of a fresh process.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    clean = {
+        k: v for k, v in os.environ.items() if not k.startswith("CONEKIT_")
+    }
+    clean["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, clean.get("PYTHONPATH")) if p
+    )
+    knobs = dict(clean, CONEKIT_TIMING="1", CONEKIT_NODE_BUDGET="1")
+    outputs = []
+    for name, env in (("clean.csv", clean), ("knobs.csv", knobs)):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "conekit", "experiment", "--dims", "3..4",
+             "--count", "2", "--seed", "0", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_experiment_bad_dims(capsys):
     assert cli.main(["experiment", "--dims", "3"]) == 2
     capsys.readouterr()

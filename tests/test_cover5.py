@@ -377,6 +377,7 @@ def test_verify_cover_detects_missing_subcone():
     tampered = dataclasses.replace(cover, subcones=cover.subcones[:-1])
     verification = oracle.verify_cover(tampered, CONE_DET5)
     assert not verification.volume_ok
+    assert not verification.complete_ok
     assert not verification.ok
     assert verification.disjoint_ok and verification.fallback_pairs == 0
 
@@ -417,3 +418,16 @@ def test_verify_cover_reports_non_unimodular_subcone():
     weighing = [y for a, b, y in cover.certificates if a == 0 and any(y[1:4])]
     assert 0 < len(weighing) < 17
     assert verification.fallback_pairs == len(weighing)
+
+
+def test_verify_cover_reports_subcone_leaving_the_cone():
+    # (1,-1,0,0) has coefficient sum 0 in the parent, so the degree-scaled
+    # volume is undefined; containment must catch it and report, not raise.
+    cover = build_cover_det5(CONE_DET5)
+    outside = SimplicialCone(((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
+    first = dataclasses.replace(cover.subcones[0], cone=outside)
+    tampered = dataclasses.replace(cover, subcones=(first,) + cover.subcones[1:])
+    verification = oracle.verify_cover(tampered, CONE_DET5)
+    assert not verification.ok and not verification.complete_ok
+    assert not verification.volume_ok and verification.volume is None
+    assert "subcone 0 leaves the cone" in verification.failures

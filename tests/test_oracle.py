@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conekit import cones, exact, gen, oracle
+from conekit import cones, exact, gen, oracle, search
 from conekit.cones import SimplicialCone
-from conekit.errors import MembershipError
+from conekit.errors import CertificateError, MembershipError
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
 CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
@@ -62,10 +62,13 @@ def test_min_terms_inconclusive_on_tiny_budget():
     assert report.witness is None
 
 
-def test_min_terms_explicit_bound_can_miss():
-    report = oracle.min_terms(CONE_12, (3, 2), max_terms=1)
-    assert report.status == "inconclusive"
-    assert report.bound == 1
+def test_min_terms_search_miss_is_a_certificate_failure(monkeypatch):
+    # Every cone point is a sum of at most basis-size Hilbert elements, so a
+    # search that ends without a hit is an internal failure, never
+    # `inconclusive` (which is kept for an exhausted node budget).
+    monkeypatch.setattr(search, "find_combination", lambda *args: (None, 0))
+    with pytest.raises(CertificateError):
+        oracle.min_terms(CONE_12, (3, 2))
 
 
 def test_dilated_sample_counts():

@@ -50,10 +50,3 @@ def test_node_budget_exhaustion():
     with pytest.raises(UnresolvedError) as exc:
         search.find_combination(columns, (5,) * 6, max_terms=6, node_budget=2)
     assert exc.value.nodes > 2
-
-
-def test_node_budget_default_env(monkeypatch):
-    monkeypatch.delenv("CONEKIT_NODE_BUDGET", raising=False)
-    assert search.node_budget_default() == search.DEFAULT_NODE_BUDGET
-    monkeypatch.setenv("CONEKIT_NODE_BUDGET", "123")
-    assert search.node_budget_default() == 123

@@ -1,10 +1,11 @@
 """Structured cone families: skew, Gorenstein-type, and two-prime cones."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conekit import cones, special
+from conekit import cones, exact, gen, oracle, special
 from conekit.cones import SimplicialCone
 from conekit.errors import PreconditionError
 
@@ -153,3 +154,34 @@ def test_skew_cones_have_skew_normal_form():
     assert special.has_skew_normal_form(cone)
     identity = SimplicialCone(((1, 0), (0, 1)))
     assert special.has_skew_normal_form(identity)
+
+
+def _sampled_covering(cone, check):
+    # The sampled loop `gorenstein_check` once ran: z - y in the cone for
+    # every interior point z of the 2-dilated parallelepiped.
+    if not check.y_integral:
+        return False
+    yv = exact.as_int_vector(check.y)
+    return all(
+        cones.contains(cone, exact.vsub(z, yv))
+        for z in oracle.dilated_sample(cone, 2)
+        if cones.contains_interior(cone, z)
+    )
+
+
+def test_gorenstein_covering_matches_sampled_loop():
+    rng = random.Random(1616)
+    family = [special.make_pq_cone(p, q) for p, q in ((2, 3), (2, 5), (3, 5), (2, 7))]
+    family += [
+        special.make_skew_cone(n, r)[0]
+        for n, r in ((3, (1, 1, 3)), (4, (0, 1, 2, 4)), (4, (2, 2, 2, 3)), (5, (1, 2, 3, 4, 7)))
+    ]
+    family += [
+        gen.random_cone(dim, det, rng) for dim in (2, 3, 4, 5) for det in range(1, 17)
+    ]
+    verdicts = set()
+    for cone in family:
+        check = special.gorenstein_check(cone)
+        assert check.covering_sampled == _sampled_covering(cone, check), cone
+        verdicts.add(check.covering_sampled)
+    assert verdicts == {True, False}
