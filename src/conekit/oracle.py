@@ -217,10 +217,13 @@ def verify_cover(cover, cone: SimplicialCone) -> CoverVerification:
     certificate y for it is nonnegative, nonzero and annihilates the pair's
     rows; for any other pair (no certificate, or one that fails)
     basic-solution enumeration decides, and `fallback_pairs` counts those
-    pairs.  Containment is checked on the scaled coefficients of every
-    subcone generator in the parent.  The volume identity sums exact volumes
-    of the subcones cut at coefficient sum 2 in the parent lattice
-    coordinates; it is only defined once every subcone lies in the cone.
+    pairs.  A subcone with a generator outside the parent's linear span has
+    no coordinate matrix: it is reported, counts as not contained and is
+    left out of the other checks.  Containment is checked on the scaled
+    coefficients of every subcone generator in the parent.  The volume
+    identity sums exact volumes of the subcones cut at coefficient sum 2 in
+    the parent lattice coordinates; it is only defined once every subcone
+    lies in the cone.
 
     Together these prove completeness: the cut subcones are closed
     simplices inside the cut cone with disjoint interiors, so when their
@@ -232,11 +235,20 @@ def verify_cover(cover, cone: SimplicialCone) -> CoverVerification:
     failures = []
     subcones = [s.cone for s in cover.subcones]
 
+    # A subcone with a generator outside the cone's linear span has no
+    # coordinate matrix; it is reported and left out of the checks on rows.
     # A non-unimodular subcone still has a nonsingular coordinate matrix, so
     # its adjugate rows exist and the checks below run on it as well.
-    adjugates = [exact.scaled_inverse(_coord_columns(cone, sub)) for sub in subcones]
+    adjugates = {}
+    for idx, sub in enumerate(subcones):
+        try:
+            columns = _coord_columns(cone, sub)
+        except MembershipError:
+            failures.append(f"subcone {idx} leaves the linear span of the cone")
+            continue
+        adjugates[idx] = exact.scaled_inverse(columns)
     unimodular_ok = True
-    for idx, (d, _) in enumerate(adjugates):
+    for idx, (d, _) in adjugates.items():
         if abs(d) != 1:
             unimodular_ok = False
             failures.append(f"subcone {idx} is not unimodular")
@@ -244,7 +256,7 @@ def verify_cover(cover, cone: SimplicialCone) -> CoverVerification:
     certificates = {(a, b): y for a, b, y in cover.certificates}
     disjoint_ok = True
     fallback_pairs = 0
-    for a, b in itertools.combinations(range(len(subcones)), 2):
+    for a, b in itertools.combinations(adjugates, 2):
         rows_a, rows_b = adjugates[a][1], adjugates[b][1]
         if _certifies_disjoint(certificates.get((a, b), ()), rows_a + rows_b):
             continue
@@ -254,11 +266,11 @@ def verify_cover(cover, cone: SimplicialCone) -> CoverVerification:
             failures.append(f"subcones {a} and {b} share interior points")
 
     scaled = [
-        [cones.scaled_coefficients(cone, g) for g in sub.generators]
-        for sub in subcones
+        [cones.scaled_coefficients(cone, g) for g in subcones[idx].generators]
+        for idx in adjugates
     ]
-    contained = True
-    for idx, coeffs in enumerate(scaled):
+    contained = len(adjugates) == len(subcones)
+    for idx, coeffs in zip(adjugates, scaled):
         if any(x < 0 for s in coeffs for x in s):
             contained = False
             failures.append(f"subcone {idx} leaves the cone")
@@ -274,7 +286,9 @@ def verify_cover(cover, cone: SimplicialCone) -> CoverVerification:
         mult = cones.multiplicity(cone)
         degrees = [prod(sum(s) for s in coeffs) for coeffs in scaled]
         common = lcm(*degrees)
-        numer = sum(abs(d) * (common // p) for (d, _), p in zip(adjugates, degrees))
+        numer = sum(
+            abs(d) * (common // p) for (d, _), p in zip(adjugates.values(), degrees)
+        )
         volume = Fraction((2 * mult) ** k * numer, common * factorial(k))
         target = Fraction(mult * 2**k, factorial(k))
         volume_ok = volume == target

@@ -5,9 +5,27 @@ multiplicity, so every quantity is a plain Python int.  Subsets of the
 candidate set are enumerated by increasing cardinality (iterative
 deepening), within a cardinality in lexicographic index order, which makes
 the first hit minimal and every run reproducible.
+
+The last two slots are solved, not enumerated.  For a first column i, the
+pair step takes every later column j and solves c * col_i + d * col_j =
+residual by Cramer's rule on one nonzero 2x2 minor (p, q, det) of the two
+columns; the pair is a hit when det divides both numerators, c and d are at
+least 1, c is within col_i's bound and the whole vector equation holds.  A
+pair of columns is linearly independent exactly when such a minor exists,
+and then (c, d) is unique, so the smallest c, then the smallest j, over the
+row is the hit the coefficient-by-coefficient loop would find first.  Pairs
+without a nonzero minor (parallel or zero columns) keep that loop.  The
+minors are computed once per (i, j) and one `find_combination` call, in a
+table allocated when the deepening reaches two terms.
+
+A node is one `_dfs` call, one row of pair tests (a first column i against
+every later column), or one coefficient tried on a parallel pair.  Each
+costs at most one pass over the columns, so the node budget bounds the work.
 """
 
 from __future__ import annotations
+
+from operator import sub
 
 from .errors import UnresolvedError
 
@@ -43,26 +61,99 @@ def find_combination(columns, target, max_terms, node_budget=None):
     if all(x == 0 for x in target):
         return (), counter.nodes
     n_cols = len(columns)
+    minors = positives = None
     for m in range(1, max_terms + 1):
-        found = _dfs(columns, n_cols, target, 0, m, counter)
+        if m == 2:
+            minors = [None] * n_cols
+            positives = [
+                tuple((k, a) for k, a in enumerate(col) if a > 0) for col in columns
+            ]
+        found = _dfs(columns, n_cols, target, 0, m, counter, minors, positives)
         if found is not None:
             return tuple(found), counter.nodes
     return None, counter.nodes
 
 
-def _max_coeff(col, residual):
+def _max_coeff(positive, residual):
+    """Largest c with c * col <= residual on col's positive entries, or 0."""
     best = None
-    for a, r in zip(col, residual):
-        if a > 0:
-            q = r // a
-            if best is None or q < best:
-                best = q
-                if best == 0:
-                    return 0
+    for k, a in positive:
+        q = residual[k] // a
+        if best is None or q < best:
+            best = q
     return best if best is not None else 0
 
 
-def _dfs(columns, n_cols, residual, start, slots, counter):
+def _minor_row(columns, i):
+    """(p, a_p, entries) for the pairs (i, j), j > i, of a nonzero col_i.
+
+    p is the first nonzero entry of col_i, and each entry is (j, q, det,
+    a_q, b_p, b_q) with det = a_p b_q - a_q b_p, nonzero unless the pair has
+    no nonzero minor.  A nonzero minor exists iff col_j is not a multiple of
+    col_i, and then one exists on row p.
+    """
+    col = columns[i]
+    p = next(k for k, a in enumerate(col) if a)
+    a_p = col[p]
+    entries = []
+    for j in range(i + 1, len(columns)):
+        other = columns[j]
+        b_p = other[p]
+        entry = (j, 0, 0, 0, 0, 0)
+        for q, (a_q, b_q) in enumerate(zip(col, other)):
+            det = a_p * b_q - a_q * b_p
+            if det:
+                entry = (j, q, det, a_q, b_p, b_q)
+                break
+        entries.append(entry)
+    return p, a_p, entries
+
+
+def _pair_step(columns, n_cols, residual, start, counter, minors, positives):
+    for i in range(start, n_cols - 1):
+        cmax = _max_coeff(positives[i], residual)
+        if cmax < 1:
+            continue
+        counter.tick()
+        row = minors[i]
+        if row is None:
+            row = minors[i] = _minor_row(columns, i)
+        p, a_p, entries = row
+        col = columns[i]
+        r_p = residual[p]
+        best = cmax + 1  # every accepted c is below it
+        hit = None
+        for j, q, det, a_q, b_p, b_q in entries:
+            if not det:
+                rest = residual
+                for c in range(1, best):
+                    rest = tuple(map(sub, rest, col))
+                    single = _dfs((columns[j],), 1, rest, 0, 1, counter, None, None)
+                    if single is not None:
+                        best, hit = c, [(c, i), (single[0][0], j)]
+                        break
+                continue
+            r_q = residual[q]
+            num = r_p * b_q - r_q * b_p
+            if num % det:
+                continue
+            c = num // det
+            if c < 1 or c >= best:
+                continue
+            num = a_p * r_q - a_q * r_p
+            if num % det:
+                continue
+            d = num // det
+            if d < 1:
+                continue
+            if all(c * a + d * b == r for a, b, r in zip(col, columns[j], residual)):
+                best, hit = c, [(c, i), (d, j)]
+        if hit is not None:
+            return hit
+    return None
+
+
+def _dfs(columns, n_cols, residual, start, slots, counter, minors, positives):
     counter.tick()
     if slots == 1:
         for idx in range(start, n_cols):
@@ -87,14 +178,19 @@ def _dfs(columns, n_cols, residual, start, slots, counter):
             if ok and c is not None and c >= 1:
                 return [(c, idx)]
         return None
-    for idx in range(start, n_cols):
-        col = columns[idx]
-        cmax = _max_coeff(col, residual)
+    if slots == 2:
+        return _pair_step(columns, n_cols, residual, start, counter, minors, positives)
+    for idx in range(start, n_cols - slots + 1):
+        cmax = _max_coeff(positives[idx], residual)
         if cmax < 1:
             continue
+        col = columns[idx]
+        rest = residual
         for c in range(1, cmax + 1):
-            rest = tuple(r - c * a for r, a in zip(residual, col))
-            sub = _dfs(columns, n_cols, rest, idx + 1, slots - 1, counter)
-            if sub is not None:
-                return [(c, idx)] + sub
+            rest = tuple(map(sub, rest, col))
+            found = _dfs(
+                columns, n_cols, rest, idx + 1, slots - 1, counter, minors, positives
+            )
+            if found is not None:
+                return [(c, idx)] + found
     return None

@@ -431,3 +431,25 @@ def test_verify_cover_reports_subcone_leaving_the_cone():
     assert not verification.ok and not verification.complete_ok
     assert not verification.volume_ok and verification.volume is None
     assert "subcone 0 leaves the cone" in verification.failures
+
+
+def test_verify_cover_reports_subcone_leaving_the_linear_span():
+    # In a cone that is not full-dimensional, a subcone generator can leave
+    # the linear span; it is reported and left out of the other checks.
+    embedded = SimplicialCone(tuple(g + (0,) for g in CONE_DET5.generators))
+    cover = build_cover_det5(embedded)
+    assert oracle.verify_cover(cover, embedded).ok
+    first = cover.subcones[0]
+    gens = first.cone.generators
+    lifted = SimplicialCone((gens[0][:-1] + (1,),) + gens[1:])
+    tampered = dataclasses.replace(
+        cover,
+        subcones=(dataclasses.replace(first, cone=lifted),) + cover.subcones[1:],
+    )
+    verification = oracle.verify_cover(tampered, embedded)
+    assert verification.failures == ("subcone 0 leaves the linear span of the cone",)
+    assert verification.unimodular_ok and verification.disjoint_ok
+    assert not verification.complete_ok and not verification.volume_ok
+    assert verification.volume is None
+    assert not verification.ok
+    assert verification.fallback_pairs == 0

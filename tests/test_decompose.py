@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit import cones, experiments, gen, oracle
 from conekit.cones import SimplicialCone
@@ -205,3 +207,33 @@ def test_per_point_path_builds_no_fraction():
     assert len(rows) == 6
     assert projections > 0
     assert offenders == set()
+
+
+@st.composite
+def cone_points(draw):
+    dim = draw(st.integers(2, 7))
+    det = draw(st.integers(1, 6))
+    rng = gen.seeded_rng(draw(st.integers(0, 10**6)), dim, det, 0)
+    cone = gen.random_cone(dim, det, rng)
+    points = cones.enumerate_parallelepiped(cone).points
+    z = points[draw(st.integers(0, len(points) - 1))].vector
+    for g in cone.generators:
+        c = draw(st.integers(0, 4))
+        z = tuple(x + c * y for x, y in zip(z, g))
+    return cone, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_points())
+def test_decompose_within_bounds_property(case):
+    # decompose validates its own terms; the Hilbert reduction has at most
+    # the rank bound's terms and at least the oracle's minimum.
+    cone, z = case
+    dec = decompose(cone, z)
+    assert dec.vector_sum() == z
+    if not dec.all_hilbert:
+        dec = reduce_to_hilbert(cone, dec)
+    assert dec.vector_sum() == z
+    report = oracle.min_terms(cone, z)
+    assert report.status == "exact"
+    assert report.min_terms <= dec.term_count() <= icr_upper_bound(cone).value

@@ -1,8 +1,11 @@
 """Bounded exact search for nonnegative integer combinations."""
 
+import random
+
 import pytest
 
-from conekit import search
+import reference_search
+from conekit import cones, exact, gen, search
 from conekit.errors import UnresolvedError
 
 
@@ -50,3 +53,90 @@ def test_node_budget_exhaustion():
     with pytest.raises(UnresolvedError) as exc:
         search.find_combination(columns, (5,) * 6, max_terms=6, node_budget=2)
     assert exc.value.nodes > 2
+
+
+def _random_case(rng):
+    dim = rng.randint(1, 7)
+    n_cols = rng.randint(1, 7)
+    low = -2 if rng.random() < 0.25 else 0
+    columns = [tuple(rng.randint(low, 4) for _ in range(dim)) for _ in range(n_cols)]
+    for _ in range(rng.randint(0, 2)):
+        # parallel, repeated and zero columns
+        col = rng.choice(columns)
+        kind = rng.randrange(3)
+        if kind == 0:
+            columns.append(tuple(rng.randint(2, 3) * x for x in col))
+        elif kind == 1:
+            columns.append(col)
+        else:
+            columns.append((0,) * dim)
+        rng.shuffle(columns)
+    if rng.random() < 0.8:
+        target = [0] * dim
+        for col in rng.sample(columns, rng.randint(1, min(4, len(columns)))):
+            c = rng.randint(1, 5)
+            target = [t + c * x for t, x in zip(target, col)]
+    else:
+        target = [rng.randint(0, 12) for _ in range(dim)]
+    return tuple(columns), tuple(target), rng.randint(1, 4)
+
+
+def test_matches_reference_on_random_columns():
+    rng = random.Random(18)
+    hits = 0
+    for _ in range(1500):
+        columns, target, max_terms = _random_case(rng)
+        expected, _ = reference_search.find_combination(columns, target, max_terms)
+        found, _ = search.find_combination(columns, target, max_terms)
+        assert found == expected, (columns, target, max_terms)
+        hits += found is not None
+    assert 500 < hits < 1500
+
+
+def test_matches_reference_on_hilbert_bases():
+    # certify-style targets: a parallelepiped point plus large multiples of
+    # every generator, searched up to the basis size.
+    rng = random.Random(5)
+    for dim in range(2, 7):
+        for det in (2, 3, 6):
+            cone = gen.random_cone(dim, det, gen.seeded_rng(18, dim, det, 0))
+            hb = cones.hilbert_basis(cone)
+            for _ in range(2):
+                z = rng.choice(cones.enumerate_parallelepiped(cone).points).vector
+                for g in cone.generators:
+                    z = exact.vadd(z, exact.vscale(rng.randrange(8), g))
+                scaled = cones.scaled_coefficients(cone, z)
+                expected, _ = reference_search.find_combination(
+                    hb.columns, scaled, len(hb)
+                )
+                found, _ = search.find_combination(hb.columns, scaled, len(hb))
+                assert found is not None and found == expected, (cone, z)
+
+
+def test_parallel_pairs_are_searched():
+    # No 2x2 minor is nonzero, so the pair step falls back to the
+    # coefficient loop.
+    for columns, target, expected in (
+        (((2, 0), (3, 0)), (5, 0), ((1, 0), (1, 1))),
+        (((2,), (3,)), (5,), ((1, 0), (1, 1))),
+        (((2,), (3,)), (7,), ((2, 0), (1, 1))),
+    ):
+        assert reference_search.find_combination(columns, target, 2)[0] == expected
+        assert search.find_combination(columns, target, 2)[0] == expected
+
+
+def test_node_budget_is_exact_through_the_pair_step():
+    columns = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    found, nodes = search.find_combination(columns, (1, 1, 1), 3)
+    assert found == ((1, 0), (1, 1), (1, 2))
+    # One node for the one-term pass; the two-term pass is its root and two
+    # pair rows; the three-term pass is its root, one pair step and the row
+    # that hits.
+    assert nodes == 7
+    assert search.find_combination(columns, (1, 1, 1), 3, node_budget=7) == (
+        found, nodes
+    )
+    for k in range(1, nodes):
+        with pytest.raises(UnresolvedError) as exc:
+            search.find_combination(columns, (1, 1, 1), 3, node_budget=k)
+        assert exc.value.nodes == k + 1
