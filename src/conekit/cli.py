@@ -171,8 +171,15 @@ def _parse_dims(text: str):
         raise ParseError(f"invalid dimension range {text!r}, expected a..b") from err
 
 
+def _require_at_least(option: str, value, low: int) -> None:
+    if value is not None and value < low:
+        raise ParseError(f"{option} must be at least {low}, got {value}")
+
+
 def cmd_experiment(args) -> int:
     lo, hi = _parse_dims(args.dims)
+    _require_at_least("--count", args.count, 0)
+    _require_at_least("--dilation", args.dilation, 1)
     config = experiments.ExperimentConfig(
         dim_lo=lo,
         dim_hi=hi,
@@ -253,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--node-budget",
         type=int,
         default=None,
-        help="search node budget (default 10^7)",
+        help="node budget of each engine search and single-point oracle "
+        "call (default 10^7); the experiment's sampled oracle runs no search",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -301,6 +309,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_at_least("--node-budget", args.node_budget, 1)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit
     except ConekitError as err:

@@ -64,10 +64,21 @@ class SimplicialCone:
         return len(self.generators)
 
     def facet(self, drop: int) -> "SimplicialCone":
-        """Cone spanned by all generators except the one at index `drop`."""
-        return SimplicialCone(
-            tuple(g for i, g in enumerate(self.generators) if i != drop)
-        )
+        """Cone spanned by all generators except the one at index `drop`.
+
+        Memoised on the cone.  Part of an independent set of integer columns
+        is one again, so a facet skips the checks of `__post_init__`.
+        """
+        facets = self.__dict__.setdefault("_facets", {})
+        sub = facets.get(drop)
+        if sub is None:
+            gens = tuple(g for i, g in enumerate(self.generators) if i != drop)
+            if not gens:
+                return SimplicialCone(gens)  # raises: no generators left
+            sub = object.__new__(SimplicialCone)
+            object.__setattr__(sub, "generators", gens)
+            facets[drop] = sub
+        return sub
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import MembershipError, PreconditionError
@@ -58,11 +58,11 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vadd(u: Sequence, v: Sequence) -> Vector:
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vscale(c, v: Sequence) -> Vector:

@@ -59,7 +59,7 @@ def run_cone(cone, dilation: int, seed, dim: int, det: int, node_budget=None):
         if not dec.all_hilbert:
             dec = reduce_to_hilbert(cone, dec, node_budget=node_budget)
         engine_max = max(engine_max, dec.term_count())
-    icp = oracle.sample_icp(cone, dilation, node_budget=node_budget)
+    icp = oracle.sample_icp(cone, dilation)
     return ExperimentRow(
         dim=dim,
         det=det,

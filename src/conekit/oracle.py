@@ -1,18 +1,21 @@
 """Independent brute-force verification of decomposition claims.
 
 Everything here recomputes results from first principles: minimal term
-counts by complete iterative-deepening search, covering-family proofs on
-rows recomputed from the subcone generators, and sampled checks of the
-dimension bound on dilated point sets.  The routines share no logic with the
-decomposition engine beyond the Hilbert basis itself, so agreement between
-the two is meaningful evidence.  A cover's pairwise disjointness is
-accepted from the Gordan certificate the cover carries only when that
-vector checks out on the recomputed rows, which is a proof by itself;
-otherwise the pair is decided by complete basic-solution enumeration
-instead of variable elimination.  A certificate can therefore save work but
-never change a verdict.  Completeness of a cover is proved, not sampled:
-subcones inside the cone with disjoint interiors whose volumes add up to the
-cone's fill it.
+counts, covering-family proofs on rows recomputed from the subcone
+generators, and sampled checks of the dimension bound on dilated point sets.
+Minimal term counts come from two independent algorithms: a complete
+iterative-deepening search per point (`min_terms`), and one breadth-first
+pass over level-wise sumsets of the Hilbert columns that labels a whole
+dilated sample at once (`sample_min_terms`, behind `sample_icp`).  The
+routines share no logic with the decomposition engine beyond the Hilbert
+basis itself, so agreement between the two is meaningful evidence.  A
+cover's pairwise disjointness is accepted from the Gordan certificate the
+cover carries only when that vector checks out on the recomputed rows,
+which is a proof by itself; otherwise the pair is decided by complete
+basic-solution enumeration instead of variable elimination.  A certificate
+can therefore save work but never change a verdict.  Completeness of a
+cover is proved, not sampled: subcones inside the cone with disjoint
+interiors whose volumes add up to the cone's fill it.
 
 All of it computes with integers: the cover check solves its candidate
 vertices with the fraction-free `exact.cramer`.  The rational
@@ -30,7 +33,12 @@ from math import factorial, lcm, prod
 from . import cones, exact, search
 from .cones import SimplicialCone
 from .decompose import Decomposition, ReductionTrace
-from .errors import CertificateError, MembershipError, UnresolvedError
+from .errors import (
+    CertificateError,
+    MembershipError,
+    PreconditionError,
+    UnresolvedError,
+)
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,14 @@ def min_terms(cone: SimplicialCone, z, node_budget=None):
     )
 
 
+def _require_dilation(dilation: int) -> None:
+    if dilation < 1:
+        raise PreconditionError(f"dilation must be at least 1, got {dilation}")
+
+
 def dilated_sample(cone: SimplicialCone, dilation: int) -> tuple:
     """All integer cone points with generator coefficients in [0, dilation)."""
+    _require_dilation(dilation)
     par = cones.enumerate_parallelepiped(cone)
     points = []
     for shift in itertools.product(range(dilation), repeat=cone.dim):
@@ -109,41 +123,106 @@ def dilated_sample(cone: SimplicialCone, dilation: int) -> tuple:
     return tuple(points)
 
 
+def sample_min_terms(cone: SimplicialCone, dilation: int) -> tuple:
+    """`min_terms` of every point of `dilated_sample`, in its order.
+
+    One breadth-first pass over sumsets labels the whole sample.  In scaled
+    coefficients s = mult * lambda the sample is the set B of lattice points
+    with 0 <= s_i < D = dilation * mult, and every partial sum of a
+    nonnegative decomposition of a point of B lies in B again.  The steps
+    are the multiples c * h of the Hilbert columns h that lie in B.  Level 0
+    is {0}, and level m holds the points of B not labelled yet that are a
+    level m - 1 point plus one step.  Dropping one term of a minimal
+    decomposition with support m leaves one with support m - 1, so the first
+    level that reaches a point is its minimal term count.  A sample point
+    that no level reaches raises CertificateError, as `min_terms` does.
+
+    A point is packed into one int with a field of w bits per coordinate
+    holding s_i + 2^(w-1) - D, so s_i < D iff the field's top bit is clear.
+    Adding an unbiased step to a point of B cannot carry out of a field, and
+    the sum lies in B iff no top bit is set.
+    """
+    _require_dilation(dilation)
+    mult = cones.multiplicity(cone)
+    k = cone.dim
+    bound = dilation * mult
+    width = bound.bit_length() + 1  # 2^(w-1) >= D
+    offsets = [width * i for i in range(k)]
+    top = sum(1 << (o + width - 1) for o in offsets)
+
+    def pack(s, bias=0):
+        return sum((x + bias) << o for x, o in zip(s, offsets))
+
+    steps = []
+    for h in cones.hilbert_basis(cone).columns:
+        unit = pack(h)
+        steps.extend(c * unit for c in range(1, (bound - 1) // max(h) + 1))
+    size = dilation**k * mult
+    bias = (1 << (width - 1)) - bound
+    zero = pack((0,) * k, bias)
+    labels = {zero: 0}
+    frontier = [zero]
+    level = 0
+    while frontier and len(labels) < size:
+        level += 1
+        reached = []
+        for p in frontier:
+            for step in steps:
+                q = p + step
+                if not q & top and q not in labels:
+                    labels[q] = level
+                    reached.append(q)
+        frontier = reached
+
+    par = cones.enumerate_parallelepiped(cone).points
+    keys = [pack(p.scaled, bias) for p in par]
+    counts = []
+    for shift in itertools.product(range(dilation), repeat=k):
+        offset = mult * pack(shift)
+        for p, key in zip(par, keys):
+            count = labels.get(key + offset)
+            if count is None:
+                scaled = tuple(a + mult * b for a, b in zip(p.scaled, shift))
+                raise CertificateError(
+                    "no combination of Hilbert basis elements reaches the "
+                    f"sample point with scaled coefficients {scaled}"
+                )
+            counts.append(count)
+    return tuple(counts)
+
+
 @dataclass(frozen=True)
 class IcpSampleReport:
     dilation: int
     point_count: int
     max_min_terms: int
     worst: tuple  # the sampled targets attaining the maximum
-    inconclusive: int
+    inconclusive: int  # always 0: the sumset pass has no budget to run out
 
 
-def sample_icp(cone: SimplicialCone, dilation: int = 2, node_budget=None):
-    """Maximal oracle term count over the dilated sample of cone points.
+def sample_icp(cone: SimplicialCone, dilation: int = 2):
+    """Maximal minimal term count over the dilated sample of cone points.
 
-    A sampled check only: it can falsify a dimension bound but never prove
-    one, since the true rank is a maximum over all integer points.
+    The counts come from `sample_min_terms`, exact for every point, so no
+    point is inconclusive.  A sampled check only: it can falsify a dimension
+    bound but never prove one, since the true rank is a maximum over all
+    integer points.
     """
     points = dilated_sample(cone, dilation)
     best = 0
     worst = []
-    inconclusive = 0
-    for z in points:
-        report = min_terms(cone, z, node_budget=node_budget)
-        if report.status != "exact":
-            inconclusive += 1
-            continue
-        if report.min_terms > best:
-            best = report.min_terms
+    for z, count in zip(points, sample_min_terms(cone, dilation)):
+        if count > best:
+            best = count
             worst = [z]
-        elif report.min_terms == best and best > 0:
+        elif count == best and best > 0:
             worst.append(z)
     return IcpSampleReport(
         dilation=dilation,
         point_count=len(points),
         max_min_terms=best,
         worst=tuple(worst),
-        inconclusive=inconclusive,
+        inconclusive=0,
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conekit import cli
+from conekit import cli, experiments
 from conekit.cones import SimplicialCone
 from conekit.errors import ParseError
 
@@ -234,6 +234,28 @@ def test_experiment_ignores_environment(tmp_path):
 def test_experiment_bad_dims(capsys):
     assert cli.main(["experiment", "--dims", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["experiment", "--dims", "3..3", "--dilation", "0"], "--dilation"),
+        (["experiment", "--dims", "3..3", "--dilation", "-1"], "--dilation"),
+        (["experiment", "--dims", "3..3", "--count", "-1"], "--count"),
+        (["--node-budget", "-5", "experiment", "--dims", "3..3"], "--node-budget"),
+        (["--node-budget", "0", "experiment", "--dims", "3..3"], "--node-budget"),
+    ],
+)
+def test_experiment_rejects_out_of_range_options(capsys, args, option):
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} must be at least ") and err.count("\n") == 1
+
+
+def test_experiment_zero_count_is_header_only(capsys):
+    assert cli.main(["experiment", "--dims", "3..3", "--count", "0"]) == 0
+    assert capsys.readouterr().out == experiments.CSV_HEADER + "\n"
 
 
 def test_special_skew(capsys):

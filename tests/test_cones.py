@@ -34,6 +34,22 @@ def test_cone_rejects_non_integral_generators():
     assert SimplicialCone(((Fraction(2, 2), 0), (1, 2))).generators == CONE_12.generators
 
 
+def test_facet_is_the_cone_of_the_remaining_generators():
+    for dim in range(2, 8):
+        for det in (1, 2, 3, 5):
+            cone = gen.random_cone(dim, det, gen.seeded_rng(43, dim, det, 0))
+            for i in range(dim):
+                facet = cone.facet(i)
+                rest = cone.generators[:i] + cone.generators[i + 1:]
+                assert facet == SimplicialCone(rest)
+                assert cone.facet(i) is facet
+
+
+def test_facet_of_a_ray_has_no_generators():
+    with pytest.raises(PreconditionError):
+        SimplicialCone(((1, 2),)).facet(0)
+
+
 def test_non_integral_point_is_not_a_member():
     # Full-dimensional and lower-dimensional cones take different routes to
     # the lattice coordinates; neither may truncate a non-integral point.

@@ -1,5 +1,8 @@
 """Decomposition engine: routing, traces, bounds, Hilbert reduction."""
 
+import hashlib
+import json
+import random
 import sys
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conekit import cones, experiments, gen, oracle
+from conekit.cli import _decomposition_json
 from conekit.cones import SimplicialCone
 from conekit.decompose import (
     BaseStep,
@@ -23,6 +27,7 @@ from conekit.decompose import (
 )
 from conekit.errors import CertificateError, MembershipError
 from conekit.special import make_skew_cone
+from test_acceptance import _random_cover_cone
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
 CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
@@ -169,6 +174,37 @@ def test_decomposition_valid_on_random_sample():
                 assert all(v in hb for _, v in dec.terms)
                 assert dec.vector_sum() == tuple(z)
                 assert dec.term_count() <= dim
+
+
+def _decomposition_digest(cone_list):
+    """sha256 of every dilation-2 decomposition's JSON, and the strip count."""
+    digest = hashlib.sha256()
+    strips = 0
+    for cone in cone_list:
+        for z in oracle.dilated_sample(cone, 2):
+            dec = decompose(cone, z)
+            strips += sum(isinstance(s, StripStep) for s in dec.trace.steps)
+            digest.update(json.dumps(_decomposition_json(dec)).encode())
+    return digest.hexdigest(), strips
+
+
+def test_decompose_traces_pinned():
+    # Terms and traces as the engine produced them before facets were
+    # memoised: on criterion 5's cones (all through the cover) and on
+    # random cones whose samples take the strip route thousands of times.
+    rng = random.Random(505)
+    cover_cones = [CONE_DET5] + [_random_cover_cone(rng) for _ in range(9)]
+    assert _decomposition_digest(cover_cones) == (
+        "fc09b612c3e328514a8d03a9c4d5ebbfffd89af0320666278a0b9dd41407e2fa", 0
+    )
+    random_cones = [
+        gen.random_cone(dim, det, gen.seeded_rng(7, dim, det, 0))
+        for dim in (4, 5, 6)
+        for det in range(1, 6)
+    ]
+    assert _decomposition_digest(random_cones) == (
+        "bba437682da8a40d7bf3d3100e518b55ca1b7ea15a489a9ab93b24b743994610", 3259
+    )
 
 
 def test_per_point_path_builds_no_fraction():

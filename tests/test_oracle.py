@@ -1,12 +1,15 @@
 """Brute-force oracle: minimal term counts and sampled rank checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_oracle
 from conekit import cones, exact, gen, oracle, search
-from conekit.cones import SimplicialCone
-from conekit.errors import CertificateError, MembershipError
+from conekit.cones import HilbertBasis, SimplicialCone
+from conekit.errors import CertificateError, MembershipError, PreconditionError
+from test_acceptance import _random_admissible_spec
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
 CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
@@ -92,6 +95,61 @@ def test_sample_icp_examples():
     for z in report.worst:
         check = oracle.min_terms(CONE_DET5, z)
         assert check.min_terms == report.max_min_terms
+
+
+def test_sample_icp_matches_per_point_reference():
+    # The sumset pass and one DFS per point are independent algorithms and
+    # must give the same report, `worst` order included.  Dilation 3 stops
+    # at dimension 5: at dimensions 6 and 7 its samples (up to 26,244 and
+    # 78,732 points) cost the reference 7 s and 44 s.
+    for dilation, dims in ((2, range(2, 8)), (3, range(2, 6))):
+        for dim in dims:
+            for det in range(1, 9):
+                cone = gen.random_cone(dim, det, gen.seeded_rng(19, dim, det, 0))
+                expected = reference_oracle.sample_icp(cone, dilation)
+                assert oracle.sample_icp(cone, dilation) == expected, (cone, dilation)
+
+
+def test_sample_icp_matches_reference_on_skew_specs():
+    rng = random.Random(707)  # criterion 7's admissible skew specs
+    for _ in range(50):
+        cone, _ = _random_admissible_spec(rng)
+        assert oracle.sample_icp(cone, 2) == reference_oracle.sample_icp(cone, 2)
+
+
+def test_sample_min_terms_matches_min_terms_pointwise():
+    for dim in range(2, 7):
+        for det in (1, 2, 3, 5, 6):
+            cone = gen.random_cone(dim, det, gen.seeded_rng(23, dim, det, 0))
+            counts = oracle.sample_min_terms(cone, 2)
+            points = oracle.dilated_sample(cone, 2)
+            assert len(counts) == len(points)
+            for z, count in zip(points, counts):
+                assert oracle.min_terms(cone, z).min_terms == count, (cone, z)
+
+
+def test_sample_rejects_dilation_below_one():
+    for dilation in (0, -1):
+        with pytest.raises(PreconditionError):
+            oracle.dilated_sample(CONE_12, dilation)
+        with pytest.raises(PreconditionError):
+            oracle.sample_min_terms(CONE_12, dilation)
+        with pytest.raises(PreconditionError):
+            oracle.sample_icp(CONE_12, dilation)
+
+
+def test_sample_unreached_point_is_a_certificate_failure(monkeypatch):
+    # Without the Hilbert element (1, 1) no sum reaches the sample point
+    # (1, 1); like a DFS miss, that is an internal failure.
+    hb = cones.hilbert_basis(CONE_12)
+    kept = [i for i, v in enumerate(hb.elements) if v != (1, 1)]
+    broken = HilbertBasis(
+        elements=tuple(hb.elements[i] for i in kept),
+        columns=tuple(hb.columns[i] for i in kept),
+    )
+    monkeypatch.setattr(cones, "hilbert_basis", lambda cone: broken)
+    with pytest.raises(CertificateError):
+        oracle.sample_icp(CONE_12, 2)
 
 
 def test_subadditivity_random():
