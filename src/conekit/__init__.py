@@ -25,6 +25,7 @@ from .decompose import (
     IcrBound,
     ReductionTrace,
     decompose,
+    decompose_sample,
     icr_upper_bound,
     reduce_to_hilbert,
     replay,
@@ -75,6 +76,7 @@ __all__ = [
     "coset_profile",
     "decompose",
     "decompose_in_cover",
+    "decompose_sample",
     "enumerate_parallelepiped",
     "gorenstein_check",
     "has_skew_normal_form",

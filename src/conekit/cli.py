@@ -165,10 +165,12 @@ def cmd_cover5(args) -> int:
 
 def _parse_dims(text: str):
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = (int(end) for end in text.split(".."))
     except ValueError as err:
         raise ParseError(f"invalid dimension range {text!r}, expected a..b") from err
+    _require_at_least("--dims lower end", lo, 1)
+    _require_at_least("--dims upper end", hi, lo)
+    return lo, hi
 
 
 def _require_at_least(option: str, value, low: int) -> None:
@@ -178,6 +180,8 @@ def _require_at_least(option: str, value, low: int) -> None:
 
 def cmd_experiment(args) -> int:
     lo, hi = _parse_dims(args.dims)
+    _require_at_least("--min-det", args.min_det, 1)
+    _require_at_least("--max-det", args.max_det, args.min_det)
     _require_at_least("--count", args.count, 0)
     _require_at_least("--dilation", args.dilation, 1)
     config = experiments.ExperimentConfig(

@@ -16,6 +16,13 @@ recursion branches, in order, on
 
 Each run records a trace of the choices taken, which can be replayed to
 reproduce the decomposition deterministically.
+
+The recursion works on the scaled coefficients s = mult * lambda of each
+point.  A strip or a projection along generator i keeps lambda_l for every
+l != i, so a child's coefficients are passed down as an exact rescale of
+its parent's instead of being recomputed from lattice coordinates.
+`decompose_sample` decomposes a whole sample in one pass: its points share
+one memo of child calls, which lives only as long as that iteration.
 """
 
 from __future__ import annotations
@@ -92,18 +99,35 @@ class Decomposition:
 
 def decompose(cone: SimplicialCone, z, node_budget=None) -> Decomposition:
     """Decompose the integer point z of the cone; raises on non-membership."""
-    target = exact.as_int_vector(z)
-    steps = []
-    terms = _reduce(cone, target, steps, node_budget)
-    merged = _merge(terms)
-    _validate(cone, target, merged)
-    hb = set(cones.hilbert_basis(cone).elements)
-    return Decomposition(
-        target=target,
-        terms=merged,
-        all_hilbert=all(v in hb for _, v in merged),
-        trace=ReductionTrace(tuple(steps)),
-    )
+    return next(decompose_sample(cone, (z,), node_budget))
+
+
+def decompose_sample(cone: SimplicialCone, points, node_budget=None):
+    """Yield `decompose(cone, z, node_budget)` for every point, in order.
+
+    One pass over the sample: strip and projection children are looked up
+    in a memo that the points share and that lives only as long as the
+    iteration.  All partial sums of a sample point's decomposition stay in
+    the sample's coefficient box, so nearby points reach the same child
+    point (a strip maps z and z + g_i to one facet point).  The top-level
+    calls are not memoised, and each decomposition is yielded as soon as it
+    is validated, so a caller that consumes them one by one never holds the
+    whole sample's.
+    """
+    hilbert = frozenset(cones.hilbert_basis(cone).elements)
+    memo = {}
+    for z in points:
+        target = exact.as_int_vector(z)
+        steps = []
+        s = cones.scaled_coefficients(cone, target)
+        merged = _merge(_reduce(cone, target, s, steps, node_budget, memo))
+        _validate(cone, target, merged, hilbert)
+        yield Decomposition(
+            target=target,
+            terms=merged,
+            all_hilbert=all(v in hilbert for _, v in merged),
+            trace=ReductionTrace(tuple(steps)),
+        )
 
 
 def replay(cone: SimplicialCone, z, trace: ReductionTrace, node_budget=None):
@@ -125,10 +149,11 @@ def reduce_to_hilbert(cone: SimplicialCone, dec: Decomposition, node_budget=None
         if v in hb_set:
             new_terms.append((c, v))
             continue
-        for cc, vv in _search_terms(cone, v, len(hb), node_budget):
+        s = cones.scaled_coefficients(cone, v)
+        for cc, vv in _search_terms(cone, s, len(hb), node_budget):
             new_terms.append((c * cc, vv))
     merged = _merge(new_terms)
-    _validate(cone, dec.target, merged)
+    _validate(cone, dec.target, merged, hb_set)
     return Decomposition(
         target=dec.target, terms=merged, all_hilbert=True, trace=dec.trace
     )
@@ -164,9 +189,8 @@ def icr_upper_bound(cone: SimplicialCone) -> IcrBound:
 # recursion
 
 
-def _reduce(cone, z, steps, node_budget):
-    # s = mult * lambda: integers with the signs and order of lambda.
-    s = cones.scaled_coefficients(cone, z)
+def _reduce(cone, z, s, steps, node_budget, memo):
+    # s = mult * lambda(z): integers with the signs and order of lambda.
     if any(x < 0 for x in s):
         raise MembershipError("vector lies outside the cone")
     if not any(s):
@@ -174,7 +198,7 @@ def _reduce(cone, z, steps, node_budget):
     k = cone.dim
     if k <= 3:
         steps.append(BaseStep(dim=k, method="search"))
-        return _search_terms(cone, z, k, node_budget)
+        return _search_terms(cone, s, k, node_budget)
     mult = cones.multiplicity(cone)
     if mult == 1:
         steps.append(BaseStep(dim=k, method="unimodular"))
@@ -182,27 +206,66 @@ def _reduce(cone, z, steps, node_budget):
     profile = cosets.coset_profile(cone)
     for i, integral in enumerate(profile.integral_flags):
         if integral:
-            return _strip_reduce(cone, z, s[i], mult, i, steps, node_budget)
+            return _strip_reduce(cone, z, s, mult, i, steps, node_budget, memo)
     pair = _select_pair(profile, s)
     if pair is not None:
-        return _project_reduce(cone, z, pair, steps, node_budget)
+        return _project_reduce(cone, z, s, mult, pair, steps, node_budget, memo)
     if k == 4 and mult == 5:
         terms, idx = cover.decompose_in_cover(cone, z)
         steps.append(CoverStep(subcone_index=idx))
         return list(terms)
     steps.append(BaseStep(dim=k, method="search"))
-    return _search_terms(cone, z, 2 * k - 2, node_budget)
+    return _search_terms(cone, s, 2 * k - 2, node_budget)
 
 
-def _strip_reduce(cone, z, s_i, mult, i, steps, node_budget):
+def _reduce_child(cone, z, s, steps, node_budget, memo):
+    """`_reduce` on a strip or projection child, through the sample's memo.
+
+    An entry holds the child's terms and the steps it appended, sliced once
+    the call has returned, when a projection placeholder has been filled
+    in.  A hit appends those steps again and returns a copy of the terms,
+    so the trace is the one a fresh call would record.
+    """
+    key = (cone, z)
+    hit = memo.get(key)
+    if hit is None:
+        start = len(steps)
+        terms = _reduce(cone, z, s, steps, node_budget, memo)
+        hit = memo[key] = (tuple(terms), tuple(steps[start:]))
+    else:
+        steps.extend(hit[1])
+    return list(hit[0])
+
+
+def _child_coefficients(s, axis, mult, child_mult):
+    """Scaled coefficients of the child of a strip or projection along `axis`.
+
+    Both steps keep lambda_l for every l != axis, and the child's generators
+    are the images of the other generators in order, so its scaled
+    coefficients are child_mult * s_l / mult.  The division is exact for an
+    integer child point; a remainder is a certificate failure.
+    """
+    child = []
+    for l, x in enumerate(s):
+        if l != axis:
+            q, r = divmod(child_mult * x, mult)
+            if r:
+                raise CertificateError("child point has a fractional coefficient")
+            child.append(q)
+    return tuple(child)
+
+
+def _strip_reduce(cone, z, s, mult, i, steps, node_budget, memo):
     # lambda_i = s_i / mult is the pairing with an integral dual vector, hence
     # an integer.
-    mu, rem = divmod(s_i, mult)
+    mu, rem = divmod(s[i], mult)
     if rem:
         raise CertificateError("integral dual gave a fractional coefficient")
     steps.append(StripStep(index=i, coeff=mu))
+    facet = cone.facet(i)
     rest = exact.vsub(z, exact.vscale(mu, cone.generators[i]))
-    terms = _reduce(cone.facet(i), rest, steps, node_budget)
+    s_rest = _child_coefficients(s, i, mult, cones.multiplicity(facet))
+    terms = _reduce_child(facet, rest, s_rest, steps, node_budget, memo)
     if mu >= 1:
         terms = terms + [(mu, cone.generators[i])]
     return terms
@@ -248,13 +311,14 @@ def _projection_data(cone: SimplicialCone, axis: int) -> _ProjectionData:
     )
 
 
-def _project_reduce(cone, z, pair, steps, node_budget):
+def _project_reduce(cone, z, s, mult, pair, steps, node_budget, memo):
     i, j = pair
     pos = len(steps)
     steps.append(None)  # ProjectStep filled in once sigma is known
     data = _projection_data(cone, i)
     z_proj = exact.matvec(data.coords, cones.lattice_coords(cone, z))
-    sub = _reduce(data.subcone, z_proj, steps, node_budget)
+    s_proj = _child_coefficients(s, i, mult, cones.multiplicity(data.subcone))
+    sub = _reduce_child(data.subcone, z_proj, s_proj, steps, node_budget, memo)
     lifted = []
     for c, v in sub:
         lifted.append((c, _lift(cone, data, i, v)))
@@ -324,10 +388,10 @@ def _axis_multiple(primitive, residual):
 # shared helpers
 
 
-def _search_terms(cone, z, max_terms, node_budget):
+def _search_terms(cone, s, max_terms, node_budget):
+    """Fewest Hilbert basis terms, at most max_terms, for scaled coefficients s."""
     hb = cones.hilbert_basis(cone)
-    target = cones.scaled_coefficients(cone, z)
-    found, _ = search.find_combination(hb.columns, target, max_terms, node_budget)
+    found, _ = search.find_combination(hb.columns, s, max_terms, node_budget)
     if found is None:
         raise CertificateError(
             f"no combination of at most {max_terms} Hilbert basis elements exists"
@@ -344,12 +408,17 @@ def _merge(terms):
                         key=lambda t: t[1]))
 
 
-def _validate(cone, target, terms):
+def _validate(cone, target, terms, hilbert):
+    """Positive coefficients, every term in the cone, and the exact sum.
+
+    A term in `hilbert`, the cone's Hilbert basis, lies in the cone by
+    construction; any other term is tested with `cones.contains`.
+    """
     total = tuple(0 for _ in target)
     for c, v in terms:
         if c < 1:
             raise CertificateError("decomposition has a non-positive coefficient")
-        if not cones.contains(cone, v):
+        if v not in hilbert and not cones.contains(cone, v):
             raise CertificateError("decomposition term lies outside the cone")
         total = exact.vadd(total, exact.vscale(c, v))
     if total != target:

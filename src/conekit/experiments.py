@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 
 from . import cosets, gen, oracle
-from .decompose import decompose, icr_upper_bound, reduce_to_hilbert
+from .decompose import decompose_sample, icr_upper_bound, reduce_to_hilbert
 
 CSV_HEADER = "dim,det,cosets,engine_max,oracle_max,bound,method,seed,elapsed_ms"
 
@@ -54,8 +54,8 @@ def run_cone(cone, dilation: int, seed, dim: int, det: int, node_budget=None):
     profile = cosets.coset_profile(cone)
     bound = icr_upper_bound(cone)
     engine_max = 0
-    for z in oracle.dilated_sample(cone, dilation):
-        dec = decompose(cone, z, node_budget=node_budget)
+    points = oracle.dilated_sample(cone, dilation)
+    for dec in decompose_sample(cone, points, node_budget=node_budget):
         if not dec.all_hilbert:
             dec = reduce_to_hilbert(cone, dec, node_budget=node_budget)
         engine_max = max(engine_max, dec.term_count())

@@ -208,22 +208,37 @@ def sample_icp(cone: SimplicialCone, dilation: int = 2):
     bound but never prove one, since the true rank is a maximum over all
     integer points.
     """
-    points = dilated_sample(cone, dilation)
-    best = 0
-    worst = []
-    for z, count in zip(points, sample_min_terms(cone, dilation)):
-        if count > best:
-            best = count
-            worst = [z]
-        elif count == best and best > 0:
-            worst.append(z)
+    counts = sample_min_terms(cone, dilation)
+    best = max(counts)
+    worst = ()
+    if best > 0:
+        worst = tuple(
+            _sample_point(cone, dilation, idx)
+            for idx, count in enumerate(counts) if count == best
+        )
     return IcpSampleReport(
         dilation=dilation,
-        point_count=len(points),
+        point_count=len(counts),
         max_min_terms=best,
-        worst=tuple(worst),
+        worst=worst,
         inconclusive=0,
     )
+
+
+def _sample_point(cone: SimplicialCone, dilation: int, idx: int) -> tuple:
+    """Point `idx` of `dilated_sample(cone, dilation)`, built on its own.
+
+    The sample lists, for each shift in `itertools.product` order, every
+    parallelepiped point; so idx // mult is the shift's rank, read as k
+    base-`dilation` digits with the first generator's most significant.
+    """
+    par = cones.enumerate_parallelepiped(cone).points
+    rank, pos = divmod(idx, len(par))
+    z = par[pos].vector
+    for i in reversed(range(cone.dim)):
+        rank, c = divmod(rank, dilation)
+        z = exact.vadd(z, exact.vscale(c, cone.generators[i]))
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,11 @@ def test_experiment_bad_dims(capsys):
         (["experiment", "--dims", "3..3", "--count", "-1"], "--count"),
         (["--node-budget", "-5", "experiment", "--dims", "3..3"], "--node-budget"),
         (["--node-budget", "0", "experiment", "--dims", "3..3"], "--node-budget"),
+        (["experiment", "--dims", "5..3"], "--dims upper end"),
+        (["experiment", "--dims", "0..1"], "--dims lower end"),
+        (["experiment", "--dims", "3..3", "--min-det", "3", "--max-det", "2"],
+         "--max-det"),
+        (["experiment", "--dims", "3..3", "--min-det", "0"], "--min-det"),
     ],
 )
 def test_experiment_rejects_out_of_range_options(capsys, args, option):

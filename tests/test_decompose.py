@@ -1,6 +1,7 @@
 """Decomposition engine: routing, traces, bounds, Hilbert reduction."""
 
 import hashlib
+import importlib
 import json
 import random
 import sys
@@ -21,6 +22,7 @@ from conekit.decompose import (
     ReductionTrace,
     StripStep,
     decompose,
+    decompose_sample,
     icr_upper_bound,
     reduce_to_hilbert,
     replay,
@@ -28,6 +30,9 @@ from conekit.decompose import (
 from conekit.errors import CertificateError, MembershipError
 from conekit.special import make_skew_cone
 from test_acceptance import _random_cover_cone
+
+# The module, which the package's `decompose` function shadows.
+engine = importlib.import_module("conekit.decompose")
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
 CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
@@ -205,6 +210,87 @@ def test_decompose_traces_pinned():
     assert _decomposition_digest(random_cones) == (
         "bba437682da8a40d7bf3d3100e518b55ca1b7ea15a489a9ab93b24b743994610", 3259
     )
+
+
+def _sample_cones():
+    """Random cones of dims 2-7 x det 1-8, then criterion 5's cover cones."""
+    random_cones = [
+        gen.random_cone(dim, det, gen.seeded_rng(22, dim, det, 0))
+        for dim in range(2, 8)
+        for det in range(1, 9)
+    ]
+    rng = random.Random(505)
+    return random_cones + [CONE_DET5] + [_random_cover_cone(rng) for _ in range(9)]
+
+
+def test_decompose_sample_matches_per_point():
+    # The shared memo changes no term, trace or all_hilbert flag; the
+    # samples take every route, memo hits included.
+    routes = set()
+    for cone in _sample_cones():
+        points = oracle.dilated_sample(cone, 2)
+        decs = tuple(decompose_sample(cone, points))
+        assert decs == tuple(decompose(cone, z) for z in points)
+        for dec in decs:
+            routes.update(type(s).__name__ for s in dec.trace.steps)
+    assert routes == {"BaseStep", "StripStep", "ProjectStep", "CoverStep"}
+
+
+def test_child_coefficients_match_recomputed(monkeypatch):
+    # Every strip and projection child gets the scaled coefficients its own
+    # lattice coordinates give, whether the memo hits or not.
+    calls = {}
+    reduce_child = engine._reduce_child
+
+    def checked(cone, z, s, steps, node_budget, memo):
+        assert s == cones.scaled_coefficients(cone, z)
+        # A projection's step is a placeholder until its child returns.
+        kind = "project" if steps[-1] is None else type(steps[-1]).__name__
+        calls[kind] = calls.get(kind, 0) + 1
+        return reduce_child(cone, z, s, steps, node_budget, memo)
+
+    monkeypatch.setattr(engine, "_reduce_child", checked)
+    for cone in _sample_cones():
+        tuple(decompose_sample(cone, oracle.dilated_sample(cone, 2)))
+    assert calls["StripStep"] > 10000 and calls["project"] > 1000
+
+
+def test_child_coefficients_reject_a_fractional_child():
+    assert engine._child_coefficients((4, 6, 2), 1, 4, 2) == (2, 1)
+    with pytest.raises(CertificateError):
+        engine._child_coefficients((4, 6, 3), 1, 4, 2)
+
+
+def test_decompose_sample_rejects_tampered_terms(monkeypatch):
+    cone = CONE_DET5
+    points = oracle.dilated_sample(cone, 2)[1:]  # nonzero points
+    hilbert = set(cones.hilbert_basis(cone).elements)
+    reduce = engine._reduce
+    merge = engine._merge
+
+    # A term outside the cone, not in the Hilbert basis, with an exact sum.
+    outside = (0, 0, 0, -1)
+    assert outside not in hilbert and not cones.contains(cone, outside)
+
+    def outside_term(cone, z, s, steps, node_budget, memo):
+        return [(1, tuple(a - b for a, b in zip(z, outside))), (1, outside)]
+
+    monkeypatch.setattr(engine, "_reduce", outside_term)
+    with pytest.raises(CertificateError, match="outside the cone"):
+        tuple(decompose_sample(cone, points))
+    monkeypatch.setattr(engine, "_reduce", reduce)
+
+    # A Hilbert term, accepted as a member, whose coefficient is one too high.
+    def bumped(terms):
+        merged = list(merge(terms))
+        idx = next(i for i, (_, v) in enumerate(merged) if v in hilbert)
+        c, v = merged[idx]
+        merged[idx] = (c + 1, v)
+        return tuple(merged)
+
+    monkeypatch.setattr(engine, "_merge", bumped)
+    with pytest.raises(CertificateError, match="do not sum to the target"):
+        tuple(decompose_sample(cone, points))
 
 
 def test_per_point_path_builds_no_fraction():
