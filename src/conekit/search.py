@@ -15,12 +15,27 @@ pair of columns is linearly independent exactly when such a minor exists,
 and then (c, d) is unique, so the smallest c, then the smallest j, over the
 row is the hit the coefficient-by-coefficient loop would find first.  Pairs
 without a nonzero minor (parallel or zero columns) keep that loop.  The
-minors are computed once per (i, j) and one `find_combination` call, in a
-table allocated when the deepening reaches two terms.
+minors are computed once per (i, j) and one `find_combination` call.
+
+When every column is nonnegative, a support-cover lower bound on the number
+of terms prunes the search.  For a residual t and the columns from `start`
+on, a column is usable when it fits under t on its positive entries (its
+`_max_coeff` is at least 1).  A support coordinate of t that no usable
+column covers makes t infeasible; one that only usable single-coordinate
+columns cover needs a term of its own; any other support coordinate adds
+one more term.  The bound of the target is computed once per call, and the
+deepening starts at it, so lower levels cost no node.  Every non-root `_dfs`
+node with at least two slots returns no hit when the bound of its residual
+exceeds its slots.  Every term of a hit is a usable column, and a
+single-coordinate column covers no other coordinate, so the bound never
+exceeds the true minimum: it cuts only subtrees without a hit, and every
+witness is unchanged.  With a negative entry a term need not fit under the
+residual, so mixed-sign columns turn the bound off.
 
 A node is one `_dfs` call, one row of pair tests (a first column i against
 every later column), or one coefficient tried on a parallel pair.  Each
-costs at most one pass over the columns, so the node budget bounds the work.
+costs at most two passes over the columns (one of them for the bound), so
+the node budget bounds the work.
 """
 
 from __future__ import annotations
@@ -61,17 +76,55 @@ def find_combination(columns, target, max_terms, node_budget=None):
     if all(x == 0 for x in target):
         return (), counter.nodes
     n_cols = len(columns)
-    minors = positives = None
-    for m in range(1, max_terms + 1):
-        if m == 2:
-            minors = [None] * n_cols
-            positives = [
-                tuple((k, a) for k, a in enumerate(col) if a > 0) for col in columns
-            ]
-        found = _dfs(columns, n_cols, target, 0, m, counter, minors, positives)
+    minors = [None] * n_cols
+    positives = [
+        tuple((k, a) for k, a in enumerate(col) if a > 0) for col in columns
+    ]
+    masks = _support_masks(columns, positives)
+    first = 1 if masks is None else _lower_bound(target, 0, positives, masks)
+    for m in range(first, max_terms + 1):
+        found = _dfs(columns, n_cols, target, 0, m, counter, minors, positives,
+                     masks)
         if found is not None:
             return tuple(found), counter.nodes
     return None, counter.nodes
+
+
+def _support_masks(columns, positives):
+    """Bitmask of each column's positive entries; None if any entry is negative."""
+    if any(a < 0 for col in columns for a in col):
+        return None
+    return [sum(1 << k for k, _ in positive) for positive in positives]
+
+
+def _lower_bound(residual, start, positives, masks):
+    """Support-cover lower bound on the terms from `start` on that sum to residual.
+
+    Needs nonnegative columns (see the module docstring).  Returns
+    len(masks) + 1, more terms than there are columns, when some support
+    coordinate of the residual has no usable column.
+    """
+    support = 0
+    for k, r in enumerate(residual):
+        if r > 0:
+            support |= 1 << k
+    outside = ~support
+    singles = multis = 0
+    for j in range(start, len(masks)):
+        mask = masks[j]
+        if not mask or mask & outside:
+            continue
+        for k, a in positives[j]:
+            if residual[k] < a:
+                break
+        else:
+            if mask & (mask - 1):
+                multis |= mask
+            else:
+                singles |= mask
+    if support != singles | multis:
+        return len(masks) + 1
+    return (singles & ~multis).bit_count() + (1 if multis else 0)
 
 
 def _max_coeff(positive, residual):
@@ -128,7 +181,9 @@ def _pair_step(columns, n_cols, residual, start, counter, minors, positives):
                 rest = residual
                 for c in range(1, best):
                     rest = tuple(map(sub, rest, col))
-                    single = _dfs((columns[j],), 1, rest, 0, 1, counter, None, None)
+                    single = _dfs(
+                        (columns[j],), 1, rest, 0, 1, counter, None, None, None
+                    )
                     if single is not None:
                         best, hit = c, [(c, i), (single[0][0], j)]
                         break
@@ -153,7 +208,7 @@ def _pair_step(columns, n_cols, residual, start, counter, minors, positives):
     return None
 
 
-def _dfs(columns, n_cols, residual, start, slots, counter, minors, positives):
+def _dfs(columns, n_cols, residual, start, slots, counter, minors, positives, masks):
     counter.tick()
     if slots == 1:
         for idx in range(start, n_cols):
@@ -178,6 +233,13 @@ def _dfs(columns, n_cols, residual, start, slots, counter, minors, positives):
             if ok and c is not None and c >= 1:
                 return [(c, idx)]
         return None
+    # The root (start 0) is the target, whose bound find_combination has met.
+    if (
+        start
+        and masks is not None
+        and _lower_bound(residual, start, positives, masks) > slots
+    ):
+        return None
     if slots == 2:
         return _pair_step(columns, n_cols, residual, start, counter, minors, positives)
     for idx in range(start, n_cols - slots + 1):
@@ -188,9 +250,8 @@ def _dfs(columns, n_cols, residual, start, slots, counter, minors, positives):
         rest = residual
         for c in range(1, cmax + 1):
             rest = tuple(map(sub, rest, col))
-            found = _dfs(
-                columns, n_cols, rest, idx + 1, slots - 1, counter, minors, positives
-            )
+            found = _dfs(columns, n_cols, rest, idx + 1, slots - 1, counter,
+                         minors, positives, masks)
             if found is not None:
                 return [(c, idx)] + found
     return None

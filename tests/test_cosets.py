@@ -6,6 +6,7 @@ from math import floor
 from conekit import cones, cosets, exact, gen
 from conekit.cones import SimplicialCone
 from conekit.decompose import _projection_data
+from coset_lemma import check_lemma_coeff_equivalence
 
 CONE_12 = SimplicialCone(((1, 0), (1, 2)))
 CONE_DET5 = SimplicialCone(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)))
@@ -60,7 +61,7 @@ def _random_cones(dims=(2, 3, 4), dets=(1, 2, 3, 4, 6, 9), reps=3, seed=11):
 
 def test_lemma_coeff_equivalence_random():
     for cone in _random_cones():
-        assert cosets.check_lemma_coeff_equivalence(cone)
+        assert check_lemma_coeff_equivalence(cone)
 
 
 def test_equal_pairs_transitive_random():

@@ -129,14 +129,71 @@ def test_node_budget_is_exact_through_the_pair_step():
     columns = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     found, nodes = search.find_combination(columns, (1, 1, 1), 3)
     assert found == ((1, 0), (1, 1), (1, 2))
-    # One node for the one-term pass; the two-term pass is its root and two
-    # pair rows; the three-term pass is its root, one pair step and the row
-    # that hits.
-    assert nodes == 7
-    assert search.find_combination(columns, (1, 1, 1), 3, node_budget=7) == (
+    # Each support coordinate of the target is covered only by its own unit
+    # column, so the lower bound is 3 and the one- and two-term passes cost
+    # no node.  The three-term pass is its root, the two-slot node after
+    # 1 * col_0 (residual (0, 1, 1), bound 2) and the pair row of col_1 that
+    # hits col_2.
+    assert nodes == 3
+    assert search.find_combination(columns, (1, 1, 1), 3, node_budget=3) == (
         found, nodes
     )
     for k in range(1, nodes):
         with pytest.raises(UnresolvedError) as exc:
             search.find_combination(columns, (1, 1, 1), 3, node_budget=k)
         assert exc.value.nodes == k + 1
+
+
+def _bound_and_reference(columns, target, start):
+    positives = [tuple((k, a) for k, a in enumerate(col) if a > 0) for col in columns]
+    masks = search._support_masks(columns, positives)
+    assert masks is not None
+    bound = search._lower_bound(target, start, positives, masks)
+    rest = columns[start:]
+    found, _ = reference_search.find_combination(rest, target, len(rest))
+    if bound > len(columns):
+        assert found is None, (columns, target, start)
+    else:
+        assert found is None or bound <= len(found), (columns, target, start)
+    return bound, found
+
+
+def test_lower_bound_never_exceeds_minimum():
+    rng = random.Random(23)
+    infeasible = 0
+    for _ in range(1500):
+        columns, target, _ = _random_case(rng)
+        if any(a < 0 for col in columns for a in col):
+            continue
+        start = rng.randrange(len(columns))
+        bound, _ = _bound_and_reference(columns, target, start)
+        infeasible += bound > len(columns)
+    assert infeasible > 100
+    # certify-style targets: every cone point has a Hilbert-basis sum, and
+    # the scaled generators are single-coordinate columns.
+    tight = 0
+    for dim in range(2, 7):
+        for det in (2, 3, 6):
+            cone = gen.random_cone(dim, det, gen.seeded_rng(23, dim, det, 0))
+            hb = cones.hilbert_basis(cone)
+            for _ in range(2):
+                z = rng.choice(cones.enumerate_parallelepiped(cone).points).vector
+                for g in cone.generators:
+                    z = exact.vadd(z, exact.vscale(rng.randrange(6), g))
+                scaled = cones.scaled_coefficients(cone, z)
+                bound, found = _bound_and_reference(hb.columns, scaled, 0)
+                assert found is not None and 1 <= bound <= len(found), (cone, z)
+                tight += bound == len(found) > 1
+    assert tight >= 10
+
+
+def test_lower_bound_is_off_for_mixed_sign_columns():
+    # (0, 2) does not fit under (1, 1), so the bound would call the target
+    # infeasible, yet (1, -1) + (0, 2) hits it.
+    columns = ((1, -1), (0, 2))
+    positives = [((0, 1),), ((1, 2),)]
+    assert search._support_masks(columns, positives) is None
+    assert search._lower_bound((1, 1), 0, positives, [0b01, 0b10]) == 3
+    expected = ((1, 0), (1, 1))
+    assert reference_search.find_combination(columns, (1, 1), 2)[0] == expected
+    assert search.find_combination(columns, (1, 1), 2)[0] == expected
