@@ -49,6 +49,11 @@ from .special import (
     make_skew_cone,
 )
 
+# Loaded with the package but called by no module of it: the traced
+# `perfbench` run wraps `feasibility.open_cones_intersect` in the loaded
+# conekit modules.
+from . import feasibility  # noqa: F401
+
 __all__ = [
     "CertificateError",
     "ConekitError",

@@ -17,23 +17,29 @@ applicable cone, so the cover is one fixed table of label sets
 (`_LABEL_SETS`) and no search runs.  The table's certificates (each subcone
 unimodular, all 153 pairs interior-disjoint, the census and the volume
 identity) run once per process, on the first cover built; a cone's own
-cover only maps the labels to its generators and parallelepiped points.
+cover only maps the labels to its generators and parallelepiped points,
+both read off the parent cone.
 
-Every pair's disjointness is proved twice: by Fourier-Motzkin, and by a
-Gordan certificate, a vector y >= 0, y != 0 with y . [rows_a; rows_b] = 0,
-which no point x with rows . x > 0 can satisfy.  The cover carries the 153
-certificates so that `oracle.verify_cover` can check each pair with one
-vector-matrix product instead of enumerating vertices.  They fit every
-applicable cone: each subcone is unimodular, so its sign-normalised
-adjugate rows in parent lattice coordinates are the table rows times 1/25
-and one fixed linear map, and that map preserves y . rows = 0.
+Every pair's disjointness is proved by a Gordan certificate, a vector
+y >= 0, y != 0 with y . [rows_a; rows_b] = 0, which no point x with
+rows . x > 0 can satisfy; when there is none, the pair overlaps.  The cover
+carries the 153 certificates so that `oracle.verify_cover` can check each
+pair with one vector-matrix product on rows it recomputes, falling back to
+a complete vertex enumeration.  They fit every applicable cone: each
+subcone is unimodular, so its sign-normalised adjugate rows in parent
+lattice coordinates are the table rows times 1/25 and one fixed linear
+map, and that map preserves y . rows = 0.
+
+A point is solved on the table too: with s the parent's scaled
+coefficients in relabelled order, the subcone coefficients are
+rows . s / 125 for the table rows of 5 L, so the first label set whose
+rows . s is nonnegative contains the point, and no subcone needs its own
+cone data.
 
 The construction computes with integers only: coefficient vectors are
 scaled by 5, unimodularity is a Bareiss determinant of the scaled matrix,
-and Fourier-Motzkin and the certificate search receive its sign-normalised
-integer adjugate rows.  The rational `exact.rat_det`/`rat_inverse` are not
-used; the tests keep them as the reference the integer construction is
-compared against.  The only `Fraction`s built are the public `volume` and
+and the certificate search receives its sign-normalised integer adjugate
+rows.  The only `Fraction`s built are the public `volume` and
 `volume_target`.
 """
 
@@ -45,7 +51,7 @@ from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
 
-from . import cones, cosets, exact, feasibility
+from . import cones, cosets, exact
 from .cones import SimplicialCone
 from .errors import CertificateError, MembershipError, PreconditionError
 
@@ -157,16 +163,17 @@ def _gordan_certificate(rows):
 def _certified_table() -> tuple:
     """Certify `_LABEL_SETS`; return per-set data, certificates, census, volume.
 
-    The per-set data are (det_coords, generator_count) pairs in table order.
+    The per-set data are (det_coords, generator_count, rows) triples in
+    table order, rows being the sign-normalised adjugate 125 (5 L)^{-1}.
     The label sets live in the relabelled coefficient coordinates, which are
     the same for every applicable cone, so the certificates hold for all of
     them and run once per process.  Each subcone is unimodular: det(5 L) =
     5^4 det L, and unimodular in the parent lattice (multiplicity 5) means
-    det L = +-1/5.  Every pair is interior-disjoint, proved on the
-    sign-normalised adjugate rows of 5 L (positive multiples of the rows of
-    L^{-1}, so the open cone {x : L^{-1} x > 0} is the same) twice over: by
-    Fourier-Motzkin and by a Gordan certificate, which the cover carries as
-    (a, b, y).  The census and the volume identity close the certificate.
+    det L = +-1/5.  Every pair is interior-disjoint, proved on those rows
+    (positive multiples of the rows of L^{-1}, so the open cone
+    {x : L^{-1} x > 0} is the same) by a Gordan certificate, which the cover
+    carries as (a, b, y).  The census and the volume identity close the
+    certificate.
     """
     dets = []
     rows = []
@@ -179,12 +186,11 @@ def _certified_table() -> tuple:
         rows.append(exact.scaled_inverse(scaled)[1])
     certificates = []
     for a, b in combinations(range(len(_LABEL_SETS)), 2):
-        pair = f"subcones {_LABEL_SETS[a]} and {_LABEL_SETS[b]}"
-        if feasibility.open_cones_intersect(rows[a], rows[b]):
-            raise CertificateError(f"{pair} overlap")
         y = _gordan_certificate(rows[a] + rows[b])
-        if y is None:
-            raise CertificateError(f"no disjointness certificate for {pair}")
+        if y is None:  # complete search: by Gordan's theorem the cones meet
+            raise CertificateError(
+                f"subcones {_LABEL_SETS[a]} and {_LABEL_SETS[b]} overlap"
+            )
         certificates.append((a, b, y))
 
     counts = [sum(lbl.startswith("r") for lbl in labels) for labels in _LABEL_SETS]
@@ -201,23 +207,7 @@ def _certified_table() -> tuple:
     volume = Fraction(5 * 2**4 * 125 * sum(common // p for p in sums), 24 * common)
     if volume != _VOLUME_TARGET:
         raise CertificateError(f"cover volume {volume} != {_VOLUME_TARGET}")
-    return tuple(zip(dets, counts)), tuple(certificates), census, volume
-
-
-def _relabel_order(cone: SimplicialCone):
-    par = cones.enumerate_parallelepiped(cone)
-    nonzero = par.nonzero()
-    for p in nonzero:
-        if sorted(p.scaled) != [1, 2, 3, 4]:
-            raise PreconditionError(
-                "parallelepiped point coefficients are not a permutation of "
-                "(1,2,3,4)/5; the cover construction does not apply"
-            )
-    y1 = nonzero[0]  # lexicographically smallest by coefficients
-    order = [None] * 4
-    for i, x in enumerate(y1.scaled):
-        order[x - 1] = i
-    return tuple(order)
+    return tuple(zip(dets, counts, rows)), tuple(certificates), census, volume
 
 
 @lru_cache(maxsize=None)
@@ -232,14 +222,17 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
         raise PreconditionError(
             "cover requires generators in 4 distinct non-trivial dual cosets"
         )
-    relabel = _relabel_order(cone)
-    base = SimplicialCone(tuple(cone.generators[i] for i in relabel))
-
-    par = cones.enumerate_parallelepiped(base)
-    by_scaled = {p.scaled: p.vector for p in par.nonzero()}
-    vectors = {}
-    for m in range(4):
-        vectors[f"r{m + 1}"] = base.generators[m]
+    nonzero = cones.enumerate_parallelepiped(cone).nonzero()
+    if any(sorted(p.scaled) != [1, 2, 3, 4] for p in nonzero):
+        raise PreconditionError(
+            "parallelepiped point coefficients are not a permutation of "
+            "(1,2,3,4)/5; the cover construction does not apply"
+        )
+    # Relabel so that y1, the lexicographically smallest point, has scaled
+    # coefficients (1,2,3,4); each point is then keyed in relabelled order.
+    relabel = tuple(nonzero[0].scaled.index(m) for m in (1, 2, 3, 4))
+    by_scaled = {tuple(p.scaled[i] for i in relabel): p.vector for p in nonzero}
+    vectors = {f"r{m + 1}": cone.generators[i] for m, i in enumerate(relabel)}
     for label, scaled in _Y_SCALED.items():
         if scaled not in by_scaled:
             raise CertificateError(f"parallelepiped point for {label} is missing")
@@ -253,7 +246,7 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
             det_coords=det_coords,
             generator_count=gen_count,
         )
-        for labels, (det_coords, gen_count) in zip(_LABEL_SETS, table)
+        for labels, (det_coords, gen_count, _) in zip(_LABEL_SETS, table)
     )
     return UnimodularCover(
         cone=cone,
@@ -271,24 +264,25 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
 def decompose_in_cover(cone: SimplicialCone, z):
     """Terms (coeff, vector) for z via the covering subcone containing it.
 
-    Returns (terms, subcone_index).  The subcone generators form a lattice
-    basis, so the coefficients of any integer point inside are nonnegative
-    integers.
+    Returns (terms, subcone_index).  With s the parent's scaled coefficients
+    in relabelled order, a subcone's coefficients are rows . s / 125 for its
+    table rows; the first subcone where they are nonnegative contains z.  It
+    is unimodular, so they are integers, and a remainder is a certificate
+    failure.
     """
-    if not cones.contains(cone, z):
+    s = cones.scaled_coefficients(cone, z)  # MembershipError off lin R cap Z^n
+    if any(x < 0 for x in s):
         raise MembershipError("vector lies outside the cone")
     cover = build_cover_det5(cone)
-    for idx, sub in enumerate(cover.subcones):
-        try:
-            coeffs = cones.scaled_coefficients(sub.cone, z)
-        except MembershipError:
-            continue
-        if all(x >= 0 for x in coeffs):
-            # Unimodular subcone: the scaled coefficients are the coefficients.
-            if cones.multiplicity(sub.cone) != 1:
+    s = tuple(s[i] for i in cover.relabel)
+    table = _certified_table()[0]
+    for idx, (sub, (_, _, rows)) in enumerate(zip(cover.subcones, table)):
+        scaled = exact.matvec(rows, s)
+        if all(x >= 0 for x in scaled):
+            if any(x % 125 for x in scaled):
                 raise CertificateError("covering subcone is not unimodular")
             terms = tuple(
-                (c, g) for c, g in zip(coeffs, sub.cone.generators) if c != 0
+                (x // 125, g) for x, g in zip(scaled, sub.cone.generators) if x
             )
             return terms, idx
     raise CertificateError("no covering subcone contains the point")

@@ -8,10 +8,9 @@ Provided here: fraction-free (Bareiss) determinants, adjugates, sign-
 normalised adjugates and Cramer solutions, Smith and Hermite normal forms
 with their unimodular transforms, and the integer projection of a lattice
 along one of its primitive vectors.  The fraction-free kernels accept int
-entries only.  Nothing in the library computes with the rational `rat_det`,
-`rat_inverse`, `solve` and `dual_basis`: they are the references the
-integer layer is tested against, and `perfbench` times `rat_det`/
-`rat_inverse` as rational-elimination probes.
+entries only.  Nothing in the library computes with the rational `rat_det`
+and `rat_inverse`: they are references the integer layer is tested
+against, and `perfbench` times them as rational-elimination probes.
 """
 
 from __future__ import annotations
@@ -263,35 +262,6 @@ def rat_inverse(a: Matrix) -> Matrix:
     return freeze(row[n:] for row in m)
 
 
-def solve(a: Matrix, b: Sequence) -> Vector:
-    """Solve a x = b exactly for a with full column rank.
-
-    `a` may be rectangular (m rows, k <= m columns).  Raises MembershipError
-    when the system is inconsistent (b outside the column span) and
-    PreconditionError when the columns are dependent.
-    """
-    m_rows = len(a)
-    k = len(a[0]) if m_rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    r = 0
-    for j in range(k):
-        pivot_row = next((i for i in range(r, m_rows) if aug[i][j] != 0), None)
-        if pivot_row is None:
-            raise PreconditionError("solve: columns are linearly dependent")
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = 1 / aug[r][j]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m_rows):
-            if i != r and aug[i][j] != 0:
-                factor = aug[i][j]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, m_rows):
-        if aug[i][k] != 0:
-            raise MembershipError("solve: inconsistent system")
-    return tuple(aug[i][k] for i in range(k))
-
-
 # ---------------------------------------------------------------------------
 # integer row/column operations shared by SNF and HNF
 
@@ -478,25 +448,6 @@ class LatticeBasis:
 
     matrix: Matrix
     ambient_dim: int
-
-
-def dual_basis(r: Matrix) -> Matrix:
-    """Dual vectors of the columns of r (full column rank required).
-
-    Returns the n x k rational matrix whose columns pair with the columns of
-    r via the Kronecker delta and lie in the column span of r.  For square r
-    this is the inverse transpose; otherwise r (r^T r)^{-1}.
-    """
-    n = len(r)
-    k = len(r[0]) if n else 0
-    if k == n:
-        if rat_det(r) == 0:
-            raise PreconditionError("dual_basis: matrix is singular")
-        return transpose(rat_inverse(r))
-    gram = matmul(transpose(r), r)
-    if rat_det(gram) == 0:
-        raise PreconditionError("dual_basis: columns are linearly dependent")
-    return matmul(r, rat_inverse(gram))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,14 @@ Fourier-Motzkin elimination over exact rationals.  Constraints are kept in a
 canonical integer form and deduplicated after every elimination step, the
 variable with the fewest pairings is eliminated first, and the final
 variable is resolved by comparing bounds directly, cross-multiplied.
-Coefficients may be ints or `Fraction`s: the cover construction passes
-integer adjugate rows, and `perfbench` probes the same routine with the
-rational inverses of `exact.rat_inverse`.  Only meant for systems with a
+Coefficients may be ints or `Fraction`s.  Only meant for systems with a
 handful of variables (open-cone intersection tests).
+
+No library module calls it: the cover proves disjointness by Gordan
+certificates, and the oracle decides a pair by basic-solution enumeration.
+It is kept as the reference the tests cross-check both against, and as the
+routine `perfbench` probes with the rational inverses of
+`exact.rat_inverse`.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import reference_cover
 from conekit import cones, cosets, cover as cover_mod, exact, feasibility, oracle
 from conekit.cones import SimplicialCone
 from conekit.cover import build_cover_det5, decompose_in_cover
@@ -69,6 +70,41 @@ def test_decompose_in_cover_sampled():
 def test_decompose_in_cover_rejects_outside():
     with pytest.raises(MembershipError):
         decompose_in_cover(CONE_DET5, (0, 0, 0, 1))
+
+
+def test_decompose_in_cover_matches_per_subcone_reference():
+    # The table route must pick the same subcone and terms as asking every
+    # subcone for its own coefficients, in Z^4, embedded in Z^5 and on
+    # sheared cones.
+    embedded = SimplicialCone(tuple(g + (0,) for g in CONE_DET5.generators))
+    sheared = [_random_applicable_cone(random.Random(seed)) for seed in range(200, 220)]
+    for cone in [CONE_DET5, embedded] + sheared:
+        assert _applicable(cone)
+        for z in oracle.dilated_sample(cone, 3):
+            expected = reference_cover.decompose_in_cover(cone, z)
+            assert decompose_in_cover(cone, z) == expected, (cone, z)
+
+
+def test_cover_needs_no_cone_data_beyond_the_parent():
+    # Building the cover and decomposing a sample reads everything off the
+    # table and the parent cone: only the parent's context is built.
+    cone = _random_applicable_cone(random.Random("one context"))
+    before = cones._context.cache_info().currsize
+    build_cover_det5(cone)
+    for z in oracle.dilated_sample(cone, 2):
+        decompose_in_cover(cone, z)
+    assert cones._context.cache_info().currsize - before == 1
+
+
+def test_decompose_in_cover_rejects_a_remainder(monkeypatch):
+    # Table rows that do not belong to a unimodular subcone leave a
+    # remainder on some point; that is a certificate failure, not a term.
+    table, *rest = cover_mod._certified_table()
+    det_coords, gen_count, _ = table[0]
+    bad = ((det_coords, gen_count, exact.identity(4)),) + table[1:]
+    monkeypatch.setattr(cover_mod, "_certified_table", lambda: (bad, *rest))
+    with pytest.raises(CertificateError, match="not unimodular"):
+        decompose_in_cover(CONE_DET5, (1, 2, 3, 4))
 
 
 def test_cover_preconditions():
@@ -247,20 +283,26 @@ def test_cover_disjointness_matches_rational_reference():
 
 def test_second_cover_runs_no_disjointness_check(monkeypatch):
     # The label table is certified once per process: once any cover exists,
-    # building the cover of a cone never seen before runs no Fourier-Motzkin.
+    # building the cover of a cone never seen before searches no Gordan
+    # certificate.
     build_cover_det5.__wrapped__(CONE_DET5)
     calls = []
-    original = feasibility.open_cones_intersect
+    original = cover_mod._gordan_certificate
 
-    def counting(rows_a, rows_b):
+    def counting(rows):
         calls.append(1)
-        return original(rows_a, rows_b)
+        return original(rows)
 
-    monkeypatch.setattr(feasibility, "open_cones_intersect", counting)
+    monkeypatch.setattr(cover_mod, "_gordan_certificate", counting)
     fresh = _random_applicable_cone(random.Random(7))
     cover = build_cover_det5.__wrapped__(fresh)
     assert cover.disjoint_pairs == 153 and cover.census == (4, 10, 4)
     assert calls == []
+    # The count is not vacuous: certifying the table afresh runs one search
+    # per pair.
+    cover_mod._certified_table.cache_clear()
+    assert build_cover_det5.__wrapped__(fresh) == cover
+    assert len(calls) == 153
 
 
 def test_certificates_annihilate_the_table_rows():

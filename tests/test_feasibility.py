@@ -1,7 +1,9 @@
 """Exact Fourier-Motzkin feasibility on small systems."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from conekit import exact, feasibility, gen, oracle
 from conekit.cones import SimplicialCone
@@ -91,3 +93,30 @@ def test_fourier_motzkin_agrees_with_basic_solutions():
             assert expected is None or fm == expected
             verdicts.append(fm)
     assert set(verdicts) == {True, False}
+
+
+def test_library_uses_no_rational_elimination():
+    # Fourier-Motzkin and the rational `exact.rat_det`/`rat_inverse` are
+    # references and benchmark probes only: no library module imports
+    # `feasibility` (the package only loads it for the traced benchmark
+    # run), and none calls them.
+    src = Path(__file__).resolve().parent.parent / "src" / "conekit"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                imported = []
+            if path.stem not in ("feasibility", "__init__") and any(
+                name.rsplit(".", 1)[-1] == "feasibility" for name in imported
+            ):
+                offenders.append(f"{path.name} imports feasibility")
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("rat_det", "rat_inverse"):
+                    offenders.append(f"{path.name}:{node.lineno} calls {name}")
+    assert offenders == []
