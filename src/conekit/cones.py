@@ -250,7 +250,9 @@ def hilbert_basis(cone: SimplicialCone) -> HilbertBasis:
     Candidates are the nonzero parallelepiped points plus the primitive
     vector on every extreme ray; an element is dropped iff subtracting some
     other candidate leaves a nonzero integer cone point, which by coefficient
-    monotonicity is a complete irreducibility test.
+    monotonicity is a complete irreducibility test.  The columns, the only
+    input of `search.find_combination`, are nonnegative, nonzero and pairwise
+    non-parallel: were u = t * v with t > 1, u - v would make u reducible.
     """
     par = enumerate_parallelepiped(cone)
     mult = _context(cone).mult

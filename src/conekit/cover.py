@@ -264,16 +264,21 @@ def build_cover_det5(cone: SimplicialCone) -> UnimodularCover:
 def decompose_in_cover(cone: SimplicialCone, z):
     """Terms (coeff, vector) for z via the covering subcone containing it.
 
-    Returns (terms, subcone_index).  With s the parent's scaled coefficients
-    in relabelled order, a subcone's coefficients are rows . s / 125 for its
-    table rows; the first subcone where they are nonnegative contains z.  It
-    is unimodular, so they are integers, and a remainder is a certificate
-    failure.
+    Returns (terms, subcone_index), the `solve_in_cover` result for z's
+    scaled coefficients.
     """
     s = cones.scaled_coefficients(cone, z)  # MembershipError off lin R cap Z^n
     if any(x < 0 for x in s):
         raise MembershipError("vector lies outside the cone")
-    cover = build_cover_det5(cone)
+    return solve_in_cover(build_cover_det5(cone), s)
+
+
+def solve_in_cover(cover: UnimodularCover, s):
+    """(terms, subcone_index) for the point with scaled coefficients s >= 0.
+
+    Solved on the certified table (see the module docstring); the subcone
+    is unimodular, so a remainder is a certificate failure.
+    """
     s = tuple(s[i] for i in cover.relabel)
     table = _certified_table()[0]
     for idx, (sub, (_, _, rows)) in enumerate(zip(cover.subcones, table)):

@@ -211,7 +211,7 @@ def _reduce(cone, z, s, steps, node_budget, memo):
     if pair is not None:
         return _project_reduce(cone, z, s, mult, pair, steps, node_budget, memo)
     if k == 4 and mult == 5:
-        terms, idx = cover.decompose_in_cover(cone, z)
+        terms, idx = cover.solve_in_cover(cover.build_cover_det5(cone), s)
         steps.append(CoverStep(subcone_index=idx))
         return list(terms)
     steps.append(BaseStep(dim=k, method="search"))

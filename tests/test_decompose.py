@@ -6,12 +6,13 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit import cones, experiments, gen, oracle
+from conekit import cones, experiments, gen, oracle, search
 from conekit.cli import _decomposition_json
 from conekit.cones import SimplicialCone
 from conekit.decompose import (
@@ -30,6 +31,7 @@ from conekit.decompose import (
 from conekit.errors import CertificateError, MembershipError
 from conekit.special import make_skew_cone
 from test_acceptance import _random_cover_cone
+from test_search import _parallel
 
 # The module, which the package's `decompose` function shadows.
 engine = importlib.import_module("conekit.decompose")
@@ -234,6 +236,29 @@ def test_decompose_sample_matches_per_point():
         for dec in decs:
             routes.update(type(s).__name__ for s in dec.trace.steps)
     assert routes == {"BaseStep", "StripStep", "ProjectStep", "CoverStep"}
+
+
+def test_engine_searches_only_contract_columns(monkeypatch):
+    # Every column set the engine hands the search, facets and projected
+    # subcones included, is nonnegative, nonzero and pairwise non-parallel.
+    find = search.find_combination
+    searched = set()
+    dims = set()  # (sampled cone's dimension, searched cone's dimension)
+
+    def recording(columns, *args):
+        searched.add(columns)
+        dims.add((cone.dim, len(columns[0])))
+        return find(columns, *args)
+
+    monkeypatch.setattr(search, "find_combination", recording)
+    for cone in _sample_cones():
+        for _ in decompose_sample(cone, oracle.dilated_sample(cone, 2)):
+            pass
+    assert {(4, 3), (5, 3), (6, 3), (7, 3)} <= dims
+    for columns in searched:
+        assert all(a >= 0 for col in columns for a in col), columns
+        assert all(any(col) for col in columns), columns
+        assert not any(_parallel(u, v) for u, v in combinations(columns, 2)), columns
 
 
 def test_child_coefficients_match_recomputed(monkeypatch):

@@ -1,12 +1,13 @@
 """Bounded exact search for nonnegative integer combinations."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 import reference_search
 from conekit import cones, exact, gen, search
-from conekit.errors import UnresolvedError
+from conekit.errors import PreconditionError, UnresolvedError
 
 
 def test_find_combination_basic():
@@ -55,22 +56,21 @@ def test_node_budget_exhaustion():
     assert exc.value.nodes > 2
 
 
+def _parallel(u, v):
+    """True when every 2x2 minor of the columns u, v is zero."""
+    return all(a * d == b * c for (a, b), (c, d) in combinations(zip(u, v), 2))
+
+
 def _random_case(rng):
+    # Columns as a Hilbert basis has them: nonnegative, nonzero and pairwise
+    # non-parallel.  Every two nonzero columns of dimension 1 are parallel.
     dim = rng.randint(1, 7)
-    n_cols = rng.randint(1, 7)
-    low = -2 if rng.random() < 0.25 else 0
-    columns = [tuple(rng.randint(low, 4) for _ in range(dim)) for _ in range(n_cols)]
-    for _ in range(rng.randint(0, 2)):
-        # parallel, repeated and zero columns
-        col = rng.choice(columns)
-        kind = rng.randrange(3)
-        if kind == 0:
-            columns.append(tuple(rng.randint(2, 3) * x for x in col))
-        elif kind == 1:
+    n_cols = rng.randint(1, 7) if dim > 1 else 1
+    columns = []
+    while len(columns) < n_cols:
+        col = tuple(rng.randint(0, 4) for _ in range(dim))
+        if any(col) and not any(_parallel(col, other) for other in columns):
             columns.append(col)
-        else:
-            columns.append((0,) * dim)
-        rng.shuffle(columns)
     if rng.random() < 0.8:
         target = [0] * dim
         for col in rng.sample(columns, rng.randint(1, min(4, len(columns)))):
@@ -113,16 +113,16 @@ def test_matches_reference_on_hilbert_bases():
                 assert found is not None and found == expected, (cone, z)
 
 
-def test_parallel_pairs_are_searched():
-    # No 2x2 minor is nonzero, so the pair step falls back to the
-    # coefficient loop.
-    for columns, target, expected in (
-        (((2, 0), (3, 0)), (5, 0), ((1, 0), (1, 1))),
-        (((2,), (3,)), (5,), ((1, 0), (1, 1))),
-        (((2,), (3,)), (7,), ((2, 0), (1, 1))),
+def test_parallel_pairs_are_rejected():
+    # No 2x2 minor of the pair is nonzero; the pair step meets it in the
+    # first column's row.
+    for columns, target in (
+        (((2, 0), (3, 0)), (5, 0)),
+        (((2,), (3,)), (5,)),
+        (((0, 1), (0, 1), (1, 0)), (1, 1)),  # a repeated column
     ):
-        assert reference_search.find_combination(columns, target, 2)[0] == expected
-        assert search.find_combination(columns, target, 2)[0] == expected
+        with pytest.raises(PreconditionError, match="parallel"):
+            search.find_combination(columns, target, 2)
 
 
 def test_node_budget_is_exact_through_the_pair_step():
@@ -147,7 +147,6 @@ def test_node_budget_is_exact_through_the_pair_step():
 def _bound_and_reference(columns, target, start):
     positives = [tuple((k, a) for k, a in enumerate(col) if a > 0) for col in columns]
     masks = search._support_masks(columns, positives)
-    assert masks is not None
     bound = search._lower_bound(target, start, positives, masks)
     rest = columns[start:]
     found, _ = reference_search.find_combination(rest, target, len(rest))
@@ -163,8 +162,6 @@ def test_lower_bound_never_exceeds_minimum():
     infeasible = 0
     for _ in range(1500):
         columns, target, _ = _random_case(rng)
-        if any(a < 0 for col in columns for a in col):
-            continue
         start = rng.randrange(len(columns))
         bound, _ = _bound_and_reference(columns, target, start)
         infeasible += bound > len(columns)
@@ -187,13 +184,8 @@ def test_lower_bound_never_exceeds_minimum():
     assert tight >= 10
 
 
-def test_lower_bound_is_off_for_mixed_sign_columns():
-    # (0, 2) does not fit under (1, 1), so the bound would call the target
-    # infeasible, yet (1, -1) + (0, 2) hits it.
-    columns = ((1, -1), (0, 2))
-    positives = [((0, 1),), ((1, 2),)]
-    assert search._support_masks(columns, positives) is None
-    assert search._lower_bound((1, 1), 0, positives, [0b01, 0b10]) == 3
-    expected = ((1, 0), (1, 1))
-    assert reference_search.find_combination(columns, (1, 1), 2)[0] == expected
-    assert search.find_combination(columns, (1, 1), 2)[0] == expected
+def test_negative_and_zero_columns_are_rejected():
+    with pytest.raises(PreconditionError, match="negative"):
+        search.find_combination(((1, -1), (0, 2)), (1, 1), 2)
+    with pytest.raises(PreconditionError, match="zero"):
+        search.find_combination(((1, 0), (0, 0)), (1, 0), 1)
